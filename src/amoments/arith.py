@@ -9,6 +9,7 @@ applied by callers at module boundaries via :func:`sym_to_gf2`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -41,12 +42,15 @@ def small_primes() -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all inputs below 2^64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    """Exact primality: a lookup in the sieved primes up to 10^6, and
+    deterministic Miller-Rabin above that, valid for all inputs below 2^64."""
+    if n <= _TRIAL_BOUND:
+        primes = _small_primes or small_primes()
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
+    for p in _MR_WITNESSES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:

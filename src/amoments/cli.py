@@ -55,6 +55,10 @@ def _dispatch(job):
     name, idx, args = job
     try:
         return idx, encode_value(WORKERS[name](*args))
+    except ValueError as exc:
+        # input the worker rejects (a bad curve, a twist out of range) is a
+        # usage error, not a failed check
+        raise ValueError(f"chunk {idx} of {name!r}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"worker {name!r} failed on chunk {idx}: {exc!r}") from exc
 
@@ -120,6 +124,8 @@ def run_chunks(ctx, config_sig: str, worker_name: str, tasks: list[tuple]) -> li
 def split_ranges(lo: int, hi: int, chunk: int, boundaries=()) -> list[tuple[int, int]]:
     """Ascending subranges of [lo, hi] of at most `chunk` values, cut so that
     every requested boundary ends a subrange."""
+    if chunk < 1:
+        raise ValueError("chunk size must be at least 1")
     cuts = sorted({b for b in boundaries if lo <= b <= hi} | {hi})
     out = []
     start = lo
@@ -302,7 +308,6 @@ class RunContext:
         self.checkpoint = args.checkpoint
         self.chunk = args.chunk
         self.max_chunks = args.max_chunks
-        self.seed = args.seed
 
     def sig(self, payload: dict) -> str:
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -667,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--checkpoint", default=None, help="chunk checkpoint file (resumable)")
     ap.add_argument("--chunk", type=int, default=2000, help="range chunk size")
     ap.add_argument("--max-chunks", type=int, default=None, help="stop after this many new chunks (for resumability testing)")
-    ap.add_argument("--seed", type=int, default=0, help="seed recorded in the config signature")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="agreement sweeps against the oracles")

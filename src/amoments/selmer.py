@@ -530,6 +530,14 @@ def _image_basis_ramified(es, p: int) -> list[int]:
     return basis
 
 
+# Local images at v = 2 and at the odd places dividing the bad product, keyed
+# by (root triple, v, class of d in Q_v*/Q_v*^2).  If d' = d u^2 with u in
+# Q_v*, then x -> u^2 x maps E_d onto E_d' over Q_v and multiplies every
+# x - e_i by u^2, so the image depends on d only through that class: at most
+# 8 keys per curve at v = 2 and 4 at each odd bad place.
+_PADIC_IMAGES: dict[tuple, tuple[int, ...]] = {}
+
+
 def descent_selmer_oracle(curve: CurveData, d: int) -> int:
     """|Sel^2| of the quadratic twist by square-free d, by exact 2-descent."""
     if d == 0 or abs(d) > ORACLE_BOUND:
@@ -551,7 +559,10 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
         if v == "inf":
             img = _image_basis_inf(es)
         elif v == 2 or v in omega_odd:
-            img = _image_basis_padic(es, v)
+            key = (curve.roots(), v, local_coords(d, v))
+            img = _PADIC_IMAGES.get(key)
+            if img is None:
+                img = _PADIC_IMAGES[key] = tuple(_image_basis_padic(es, v))
         else:
             img = _image_basis_ramified(es, v)
         m = 2 * _coords_dim(v)

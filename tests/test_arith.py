@@ -282,3 +282,11 @@ def test_ext_gcd_and_crt():
     assert arith.crt_pair(2, 3, 3, 5) == 8
     with pytest.raises(ValueError):
         arith.crt_pair(1, 4, 0, 6)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    for n in [*range(-5, 2 * 10 ** 4), *range(10 ** 6 - 200, 10 ** 6 + 201)]:
+        assert arith.is_prime(n) == trial(n), n

@@ -176,3 +176,25 @@ def test_moment_selmer(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].startswith("weighted-moment,selmer,80,1,")
+
+
+def test_split_ranges_rejects_nonpositive_chunk():
+    assert cli.split_ranges(1, 5, 2) == [(1, 2), (3, 4), (5, 5)]
+    for chunk in (0, -3):
+        with pytest.raises(ValueError):
+            cli.split_ranges(1, 5, chunk)
+
+
+@pytest.mark.parametrize("chunk", ["0", "-1"])
+def test_nonpositive_chunk_is_usage_error(chunk, capsys):
+    code = cli.main(["--threads", "1", "--chunk", chunk, "verify", "redei", "--dmax", "50"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_worker_value_error_is_usage_error(threads, capsys):
+    # repeated roots are rejected inside the chunk worker
+    code = cli.main(["--threads", threads, "verify", "selmer", "--tmax", "10", "--curve", "0,0,1"])
+    assert code == 2
+    assert "roots must be distinct" in capsys.readouterr().err

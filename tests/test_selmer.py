@@ -413,3 +413,65 @@ def test_submatrix_majorization_f_vs_g():
             fm = f_r(curve, m * n)
             gm = g_r(curve, m, n) if math.gcd(m, n) == 1 else None
             assert fm <= gm * 4 ** arith.omega(n), (curve, m, n)
+
+
+# twists of the memo tests: every square-free d with |d| <= 300
+MEMO_TWISTS = [d for a in range(1, 301) for d in (a, -a) if arith.is_squarefree(d)]
+
+
+def _span(basis):
+    span = {0}
+    for vec in basis:
+        span |= {s ^ vec for s in span}
+    return span
+
+
+def _memo_places(curve):
+    return [2] + [p for p in curve.omega_primes if p != 2]
+
+
+@pytest.fixture(scope="module")
+def memo_run():
+    """Oracle values over MEMO_TWISTS from an empty cache, with the cache
+    they leave behind."""
+    selmer._PADIC_IMAGES.clear()
+    values = {(c, d): descent_selmer_oracle(c, d) for c in CURVES for d in MEMO_TWISTS}
+    return values, dict(selmer._PADIC_IMAGES)
+
+
+def test_padic_image_memo_matches_fresh_computation(memo_run):
+    from amoments.selmer import _image_basis_padic
+
+    _, cache = memo_run
+    # each key was filled by the first twist of its class; recompute it from
+    # the last one, so classes with two or more members compare different d
+    checked = set()
+    for curve in CURVES:
+        for d in reversed(MEMO_TWISTS):
+            for v in _memo_places(curve):
+                key = (curve.roots(), v, local_coords(d, v))
+                if key in checked:
+                    continue
+                checked.add(key)
+                es = tuple(d * r for r in curve.roots())
+                assert _span(cache[key]) == _span(_image_basis_padic(es, v)), key
+    assert checked == set(cache)
+
+
+def test_padic_image_memo_size(memo_run):
+    _, cache = memo_run
+    for curve in CURVES:
+        for v in _memo_places(curve):
+            keys = [k for k in cache if k[:2] == (curve.roots(), v)]
+            assert len(keys) <= (8 if v == 2 else 4), (curve, v)
+            reached = {local_coords(d, v) for d in MEMO_TWISTS}
+            assert {k[2] for k in keys} == reached, (curve, v)
+
+
+def test_descent_oracle_independent_of_cache_state_and_order(memo_run):
+    values, _ = memo_run
+    # warm cache, same order
+    assert {key: descent_selmer_oracle(*key) for key in values} == values
+    # cleared cache, reverse order
+    selmer._PADIC_IMAGES.clear()
+    assert {key: descent_selmer_oracle(*key) for key in reversed(values)} == values
