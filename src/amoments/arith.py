@@ -509,3 +509,19 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+def split_ranges(lo: int, hi: int, chunk: int, boundaries=()) -> list[tuple[int, int]]:
+    """Ascending subranges of [lo, hi] of at most `chunk` values, cut so that
+    every requested boundary ends a subrange."""
+    if chunk < 1:
+        raise ValueError("chunk size must be at least 1")
+    cuts = sorted({b for b in boundaries if lo <= b <= hi} | {hi})
+    out = []
+    start = lo
+    for cut in cuts:
+        while start <= cut:
+            end = min(start + chunk - 1, cut)
+            out.append((start, end))
+            start = end + 1
+    return out

@@ -17,6 +17,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from . import arith, density, moments, quadforms, redei, selmer
+from .arith import split_ranges
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -53,8 +54,12 @@ class IncompleteRun(Exception):
 
 def _dispatch(job):
     name, idx, args = job
+    module, attr = WORKERS[name]
+    # looked up at call time, so a rebound module attribute (a tracer's
+    # wrapper) is the one that runs
+    fn = getattr(module, attr)
     try:
-        return idx, encode_value(WORKERS[name](*args))
+        return idx, encode_value(fn(*args))
     except ValueError as exc:
         # input the worker rejects (a bad curve, a twist out of range) is a
         # usage error, not a failed check
@@ -63,78 +68,85 @@ def _dispatch(job):
         raise RuntimeError(f"worker {name!r} failed on chunk {idx}: {exc!r}") from exc
 
 
-def run_chunks(ctx, config_sig: str, worker_name: str, tasks: list[tuple]) -> list:
+def _read_checkpoint(path: str) -> tuple[list[tuple[str, dict]], bool]:
+    """The (signature, finished chunks) sections of a checkpoint in file
+    order, and whether its last line was cut off by an interrupted write."""
+    with open(path) as fh:
+        text = fh.read()
+    sections: list[tuple[str, dict]] = []
+    for ln in text.splitlines():
+        key, _, val = ln.partition("=")
+        if key == "config":
+            sections.append((val, {}))
+        elif key.startswith("chunk.") and sections:
+            try:
+                sections[-1][1][int(key[6:])] = decode_value(json.loads(val))
+            except ValueError:
+                continue  # torn trailing line from an interrupted write
+        elif ln.strip():
+            raise ValueError("checkpoint file is not a chunk checkpoint")
+    return sections, bool(text) and not text.endswith("\n")
+
+
+def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
     """Evaluate worker(*task) for every task, in parallel, deterministically.
 
     Results are combined (returned) in task order regardless of scheduling.
-    With a checkpoint path, completed chunks are replayed from disk and new
-    ones appended as they finish; resuming is byte-for-byte equivalent to an
-    uninterrupted run.
+    With a checkpoint path, the n-th call of a run owns the n-th section of
+    the file, headed by `config=` and a hash of (worker, phase, tasks):
+    completed chunks are replayed from it and new ones appended as they
+    finish, so resuming is byte-for-byte equivalent to an uninterrupted run.
+    A section with another hash came from other parameters or another
+    partition, and the run stops with a ValueError.
     """
+    sig = hashlib.sha256(repr((worker_name, phase, tasks)).encode()).hexdigest()
     done: dict[int, object] = {}
-    cp = ctx.checkpoint
-    if cp and os.path.exists(cp):
-        with open(cp) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines or lines[0] != f"config={config_sig}":
-            raise ValueError("checkpoint belongs to a different configuration")
-        for ln in lines[1:]:
-            key, _, val = ln.partition("=")
-            if key.startswith("chunk."):
-                try:
-                    done[int(key[6:])] = decode_value(json.loads(val))
-                except (ValueError, json.JSONDecodeError):
-                    continue  # torn trailing line from an interrupted write
     fh = None
-    if cp:
-        new_file = not os.path.exists(cp)
-        fh = open(cp, "a")
-        if new_file:
-            fh.write(f"config={config_sig}\n")
-            fh.flush()
+    if ctx.checkpoint:
+        sections, torn = (
+            _read_checkpoint(ctx.checkpoint) if os.path.exists(ctx.checkpoint) else ([], False)
+        )
+        n = ctx.sections
+        ctx.sections += 1
+        if n < len(sections):
+            if sections[n][0] != sig:
+                raise ValueError("checkpoint belongs to a different configuration")
+            done = sections[n][1]
+            if n < len(sections) - 1 and len(done) < len(tasks):
+                # new chunk lines would land in a later section
+                raise ValueError("checkpoint has an unfinished section before the last")
+        fh = open(ctx.checkpoint, "a")
+        if torn:
+            fh.write("\n")
+        if n >= len(sections):
+            fh.write(f"config={sig}\n")
+        fh.flush()
     try:
         pending = [
             (worker_name, i, task) for i, task in enumerate(tasks) if i not in done
         ]
         if ctx.max_chunks is not None:
             pending = pending[: ctx.max_chunks]
-        if pending:
-            if ctx.threads > 1:
-                with Pool(ctx.threads) as pool:
-                    for idx, enc in pool.imap_unordered(_dispatch, pending):
-                        done[idx] = decode_value(enc)
-                        if fh:
-                            fh.write(f"chunk.{idx}={json.dumps(enc)}\n")
-                            fh.flush()
-            else:
-                for job in pending:
-                    idx, enc = _dispatch(job)
-                    done[idx] = decode_value(enc)
-                    if fh:
-                        fh.write(f"chunk.{idx}={json.dumps(enc)}\n")
-                        fh.flush()
+            ctx.max_chunks -= len(pending)
+
+        def record(results):
+            for idx, enc in results:
+                done[idx] = decode_value(enc)
+                if fh:
+                    fh.write(f"chunk.{idx}={json.dumps(enc)}\n")
+                    fh.flush()
+
+        if ctx.threads > 1 and pending:
+            with Pool(min(ctx.threads, len(pending))) as pool:
+                record(pool.imap_unordered(_dispatch, pending))
+        else:
+            record(map(_dispatch, pending))
         if len(done) < len(tasks):
             raise IncompleteRun(f"{len(tasks) - len(done)} chunks remaining")
         return [done[i] for i in range(len(tasks))]
     finally:
         if fh:
             fh.close()
-
-
-def split_ranges(lo: int, hi: int, chunk: int, boundaries=()) -> list[tuple[int, int]]:
-    """Ascending subranges of [lo, hi] of at most `chunk` values, cut so that
-    every requested boundary ends a subrange."""
-    if chunk < 1:
-        raise ValueError("chunk size must be at least 1")
-    cuts = sorted({b for b in boundaries if lo <= b <= hi} | {hi})
-    out = []
-    start = lo
-    for cut in cuts:
-        while start <= cut:
-            end = min(start + chunk - 1, cut)
-            out.append((start, end))
-            start = end + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,74 +211,6 @@ def _w_descent(r1, r2, r3, lo, hi, k):
     return [checked, violations]
 
 
-def _w_t12(lo, hi, k, sign):
-    exact, majorant = moments.theorem12_chunk(lo, hi, k, sign)
-    return [exact, majorant]
-
-
-def _w_t11(terms, nvars, lo, hi, r1, r2, r3, k):
-    P = density.Poly(nvars, tuple((tuple(m), c) for m, c in terms))
-    return moments.theorem11_chunk(P, lo, hi, selmer.CurveData(r1, r2, r3), k)
-
-
-def _w_h3(lo, hi, m, letters, sign):
-    total = 0
-    fields = 0
-    letters = dict(letters)
-    if sign == -1:
-        for absd, _, _, counts in quadforms.neg_torsion_sweep(lo, hi, (3,)):
-            n = -absd if absd % 4 == 3 else -(absd // 4)
-            if n % m:
-                continue
-            if any(arith.jacobi((n // m) % q, q) != e for q, e in letters.items()):
-                continue
-            total += counts[0] - 1
-            fields += 1
-    else:
-        for delta, _, _, counts in quadforms.pos_narrow_sweep(lo, hi, (3,)):
-            n = delta if delta % 4 == 1 else delta // 4
-            if n % m:
-                continue
-            if any(arith.jacobi((n // m) % q, q) != e for q, e in letters.items()):
-                continue
-            total += counts[0] - 1
-            fields += 1
-    return [total, fields]
-
-
-_CHARSUM_SIEVES: dict[int, bytearray] = {}
-
-
-def _w_charsum(X, z, lo, hi, scheme):
-    if X not in _CHARSUM_SIEVES:
-        _CHARSUM_SIEVES.clear()
-        _CHARSUM_SIEVES[X] = arith.squarefree_sieve(X)
-    sf = _CHARSUM_SIEVES[X]
-    spf = arith.spf_cached(X) if scheme == "tau" else None
-    jac = arith.jacobi
-    total = 0
-    m1 = max(lo, z + 1)
-    if m1 % 2 == 0:
-        m1 += 1
-    start2 = z + 1 + ((z + 1) % 2 == 0)
-    while m1 <= hi:
-        if m1 * (z + 1) <= X and sf[m1]:
-            w1 = 1 if scheme == "mu2" else 1 << len(arith.factor_by_spf(m1, spf))
-            lim = X // m1
-            for m2 in range(start2, lim + 1, 2):
-                if sf[m2]:
-                    if scheme == "mu2":
-                        total += w1 * jac(m1 % m2, m2)
-                    else:
-                        total += (
-                            w1
-                            * (1 << len(arith.factor_by_spf(m2, spf)))
-                            * jac(m1 % m2, m2)
-                        )
-        m1 += 2
-    return total
-
-
 def _w_classgroup(lo, hi, narrow):
     rows = []
     for absd in range(max(lo, 3), hi + 1):
@@ -278,16 +222,19 @@ def _w_classgroup(lo, hi, narrow):
     return rows
 
 
+_CLI = sys.modules[__name__]  # this module, also when run as __main__
+
+# chunk functions by name, as (module, function name)
 WORKERS = {
-    "redei_neg": _w_redei_neg,
-    "redei_pos": _w_redei_pos,
-    "selmer_kernel": _w_selmer_kernel,
-    "descent": _w_descent,
-    "t12": _w_t12,
-    "t11": _w_t11,
-    "h3": _w_h3,
-    "charsum": _w_charsum,
-    "classgroup": _w_classgroup,
+    "redei_neg": (_CLI, "_w_redei_neg"),
+    "redei_pos": (_CLI, "_w_redei_pos"),
+    "selmer_kernel": (_CLI, "_w_selmer_kernel"),
+    "descent": (_CLI, "_w_descent"),
+    "t12": (moments, "theorem12_chunk"),
+    "t11": (moments, "theorem11_chunk"),
+    "h3": (density, "h3_level_chunk"),
+    "charsum": (moments, "oscillation_chunk"),
+    "classgroup": (_CLI, "_w_classgroup"),
 }
 
 
@@ -308,10 +255,9 @@ class RunContext:
         self.checkpoint = args.checkpoint
         self.chunk = args.chunk
         self.max_chunks = args.max_chunks
-
-    def sig(self, payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        if self.max_chunks is not None and self.max_chunks < 0:
+            raise ValueError("--max-chunks must not be negative")
+        self.sections = 0  # checkpoint sections claimed by run_chunks so far
 
 
 def emit(ctx, header: str, rows: list[str]) -> None:
@@ -331,12 +277,10 @@ def emit(ctx, header: str, rows: list[str]) -> None:
 
 
 def cmd_verify_redei(ctx, args) -> int:
-    sig = ctx.sig({"cmd": "verify-redei", "dmax": args.dmax, "sign": args.sign})
     rows = []
     status = 0
     if args.sign in ("neg", "both"):
-        tasks = [t for t in split_ranges(3, args.dmax, ctx.chunk)]
-        parts = run_chunks(ctx, sig + ".neg", "redei_neg", tasks)
+        parts = run_chunks(ctx, "neg", "redei_neg", split_ranges(3, args.dmax, ctx.chunk))
         checked = sum(p[0] for p in parts)
         mism = [d for p in parts for d in p[1]]
         genus = [d for p in parts for d in p[2]]
@@ -348,8 +292,7 @@ def cmd_verify_redei(ctx, args) -> int:
             status = EXIT_MATH
     if args.sign in ("pos", "both"):
         dmax = args.dmax_pos if args.sign == "both" else args.dmax
-        tasks = [t for t in split_ranges(3, dmax, ctx.chunk)]
-        parts = run_chunks(ctx, sig + ".pos", "redei_pos", tasks)
+        parts = run_chunks(ctx, "pos", "redei_pos", split_ranges(3, dmax, ctx.chunk))
         checked = sum(p[0] for p in parts)
         mism = [d for p in parts for d in p[1]]
         rows.append(f"redei_agreement_pos,{dmax},{'PASS' if not mism else 'FAIL'}")
@@ -370,11 +313,10 @@ def _parse_curve(text: str) -> tuple[int, int, int]:
 
 def cmd_verify_selmer(ctx, args) -> int:
     r = _parse_curve(args.curve)
-    sig = ctx.sig({"cmd": "verify-selmer", "tmax": args.tmax, "curve": r, "descent": args.descent_dmax})
     rows = []
     status = 0
     tasks = [(r[0], r[1], r[2], lo, hi) for lo, hi in split_ranges(1, args.tmax, ctx.chunk)]
-    parts = run_chunks(ctx, sig + ".kernel", "selmer_kernel", tasks)
+    parts = run_chunks(ctx, "kernel", "selmer_kernel", tasks)
     checked = sum(p[0] for p in parts)
     mism = [t for p in parts for t in p[1]]
     rows.append(f"selmer_kernel_identity,{args.tmax},{'PASS' if not mism else 'FAIL'}")
@@ -386,7 +328,7 @@ def cmd_verify_selmer(ctx, args) -> int:
             (r[0], r[1], r[2], lo, hi, args.k)
             for lo, hi in split_ranges(1, args.descent_dmax, ctx.chunk)
         ]
-        parts = run_chunks(ctx, sig + ".descent", "descent", tasks)
+        parts = run_chunks(ctx, "descent", "descent", tasks)
         checked = sum(p[0] for p in parts)
         bad = [d for p in parts for d in p[1]]
         rows.append(
@@ -429,30 +371,8 @@ def cmd_identity_k_moment(ctx, args) -> int:
 
 def cmd_moment(ctx, args) -> int:
     w = moments.weight_by_name(args.weight)
-    if args.target == "class":
-        rep = moments.weighted_moment_report(args.x, args.k, w)
-    else:
-        curve = selmer.CurveData(*_parse_curve(args.curve))
-        total = Fraction(0)
-        for m, primes in moments.odd_squarefree_with_primes(args.x, 2 * curve.omega):
-            sizes = selmer.g_r_all_eps(curve, m)
-            avg = Fraction(sum(sizes), len(sizes))
-            total += w.of_omega(len(primes)) * avg ** args.k
-        euler = 1.0
-        for p in arith.small_primes():
-            if p > args.x:
-                break
-            euler *= 1 + float(w.at_prime(p)) / p
-        rep = moments.MomentReport(
-            "weighted-moment",
-            "selmer",
-            args.x,
-            args.k,
-            1,
-            w.name,
-            total,
-            float(total) / (args.x / math.log(args.x) * euler),
-        )
+    curve = selmer.CurveData(*_parse_curve(args.curve)) if args.target == "selmer" else None
+    rep = moments.weighted_moment_report(args.x, args.k, w, curve)
     emit(ctx, moments.CSV_HEADER, [rep.csv_row()])
     return EXIT_OK
 
@@ -475,30 +395,18 @@ def cmd_unlinked(ctx, args) -> int:
 
 def cmd_charsum(ctx, args) -> int:
     z_list = [int(z) for z in args.z.split(",")]
-    sig = ctx.sig({"cmd": "charsum", "x": args.x, "z": z_list, "scheme": args.scheme})
-    rows = []
-    norms = []
-    for z in z_list:
-        hi = args.x // max(z + 1, 1)
-        tasks = [
-            (args.x, z, lo, sub_hi, args.scheme)
-            for lo, sub_hi in split_ranges(z + 1, max(hi, z + 1), ctx.chunk)
-        ]
-        parts = run_chunks(ctx, sig + f".z{z}", "charsum", tasks)
-        total = sum(parts)
-        norm = abs(total) * z ** (1 / 20) / (args.x * math.log(args.x) ** 3)
-        norms.append((z, total, norm))
-        rows.append(f"charsum,{args.scheme},{args.x},{z},{total},{norm:.15g}")
-    pts = [(math.log(z), math.log(abs(s))) for z, s, _ in norms if s]
-    if len(pts) >= 2:
-        mx = sum(x for x, _ in pts) / len(pts)
-        my = sum(y for _, y in pts) / len(pts)
-        den = sum((x - mx) ** 2 for x, _ in pts)
-        if den:
-            slope = sum((x - mx) * (y - my) for x, y in pts) / den
-            rows.append(f"charsum_fitted_exponent,{args.scheme},{args.x},,,{slope:.15g}")
+    tasks = moments.oscillation_tasks(args.x, z_list, args.scheme, ctx.chunk)
+    parts = run_chunks(ctx, "charsum", "charsum", tasks)
+    sums = moments.oscillation_reduce(args.x, z_list, args.scheme, tasks, parts)
+    rows = [
+        f"charsum,{args.scheme},{args.x},{r['z']},{r['sum']},{r['normalized']:.15g}"
+        for r in sums
+    ]
+    slope = sums[0]["fitted_exponent"]
+    if slope is not None:
+        rows.append(f"charsum_fitted_exponent,{args.scheme},{args.x},,,{slope:.15g}")
     emit(ctx, "quantity,scheme,X,z,sum,normalized", rows)
-    vals = [n for _, _, n in norms]
+    vals = [r["normalized"] for r in sums]
     nonincreasing = all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     return EXIT_OK if nonincreasing else EXIT_MATH
 
@@ -537,24 +445,13 @@ def cmd_density(ctx, args) -> int:
                 q, e = item.split(":")
                 letters[int(q)] = int(e)
         sign = -1 if args.sign == "neg" else 1
-        sig = ctx.sig(
-            {"cmd": "h3", "x": args.x, "m": args.m, "letters": sorted(letters.items()), "sign": sign}
-        )
-        tasks = [
-            (lo, hi, args.m, sorted(letters.items()), sign)
-            for lo, hi in split_ranges(3, args.x - 1, ctx.chunk)
-        ]
-        parts = run_chunks(ctx, sig, "h3", tasks)
-        total = sum(p[0] for p in parts)
-        fields = sum(p[1] for p in parts)
-        main = (3 if sign == -1 else 1) * args.x * density.delta(args.m) / (
-            2 ** len(letters) * math.pi ** 2
-        )
-        ratio = total / main
-        rows.append(f"h3_sum,{args.x},{total}")
-        rows.append(f"h3_fields,{args.x},{fields}")
-        rows.append(f"h3_prediction,{args.x},{float(main):.15g}")
-        rows.append(f"h3_ratio,{args.x},{ratio:.15g}")
+        tasks = density.h3_level_tasks(args.x, args.m, letters, sign, ctx.chunk)
+        parts = run_chunks(ctx, "h3level", "h3", tasks)
+        rep = density.h3_level_reduce(args.x, args.m, letters, sign, parts)
+        rows.append(f"h3_sum,{args.x},{rep['sum_h3_minus_1']}")
+        rows.append(f"h3_fields,{args.x},{rep['fields']}")
+        rows.append(f"h3_prediction,{args.x},{float(rep['prediction']):.15g}")
+        rows.append(f"h3_ratio,{args.x},{rep['ratio']:.15g}")
     emit(ctx, "quantity,parameter,value", rows)
     return EXIT_OK
 
@@ -577,11 +474,10 @@ def cmd_classgroup(ctx, args) -> int:
             f"classgroup,{args.delta},narrow={int(args.narrow)},invariants={';'.join(map(str, inv))},h={h}"
         )
     else:
-        sig = ctx.sig({"cmd": "classgroup", "dmax": args.dmax, "narrow": args.narrow})
         tasks = [
             (lo, hi, args.narrow) for lo, hi in split_ranges(3, args.dmax, ctx.chunk)
         ]
-        parts = run_chunks(ctx, sig, "classgroup", tasks)
+        parts = run_chunks(ctx, "classgroup", "classgroup", tasks)
         for part in parts:
             for delta, narrow, inv in part:
                 cache[(delta, bool(narrow))] = tuple(inv)
@@ -599,61 +495,23 @@ def cmd_classgroup(ctx, args) -> int:
 
 
 def cmd_experiment_t12(ctx, args) -> int:
-    x_list = sorted(int(x) for x in args.x_list.split(","))
+    x_list = [int(x) for x in args.x_list.split(",")]
     sign = -1 if args.sign == "neg" else 1
-    sig = ctx.sig({"cmd": "t12", "x": x_list, "k": args.k, "sign": sign})
-    tasks = [
-        (lo, hi, args.k, sign)
-        for lo, hi in split_ranges(3, max(x_list), ctx.chunk, boundaries=x_list)
-    ]
-    parts = run_chunks(ctx, sig, "t12", tasks)
-    rows = []
-    exact = majorant = 0
-    i = 0
-    for x in x_list:
-        while i < len(tasks) and tasks[i][1] <= x:
-            exact += parts[i][0]
-            majorant += parts[i][1]
-            i += 1
-        norm = x * math.log(x)
-        rows.append(
-            moments.MomentReport(
-                "t12-exact", "class", x, args.k, sign, "one", exact, exact / norm
-            ).csv_row()
-        )
-        rows.append(
-            moments.MomentReport(
-                "t12-majorant", "class", x, args.k, sign, "one", majorant, majorant / norm
-            ).csv_row()
-        )
-    emit(ctx, moments.CSV_HEADER, rows)
+    tasks = moments.theorem12_tasks(x_list, args.k, sign, ctx.chunk)
+    parts = run_chunks(ctx, "t12", "t12", tasks)
+    reports = moments.theorem12_reduce(x_list, args.k, sign, tasks, parts)
+    emit(ctx, moments.CSV_HEADER, [r.csv_row() for r in reports])
     return EXIT_OK
 
 
 def cmd_experiment_t11(ctx, args) -> int:
     P = density.poly_from_string(args.poly, 1)
-    r = _parse_curve(args.curve)
-    b_list = sorted(int(b) for b in args.b_list.split(","))
-    sig = ctx.sig({"cmd": "t11", "poly": str(P.terms), "curve": r, "b": b_list, "k": args.k})
-    B = max(b_list)
-    tasks = [
-        (list(P.terms), 1, lo, hi, r[0], r[1], r[2], args.k)
-        for lo, hi in split_ranges(-B, B, ctx.chunk, boundaries=[-b - 1 for b in b_list] + [b for b in b_list])
-    ]
-    parts = run_chunks(ctx, sig, "t11", tasks)
-    rows = []
-    for b in b_list:
-        total = 0
-        for part, task in zip(parts, tasks):
-            lo, hi = task[2], task[3]
-            if lo >= -b and hi <= b:
-                total += part
-        rows.append(
-            moments.MomentReport(
-                "t11-majorant", "selmer", b, args.k, 1, "one", total, total / (2 * b + 1)
-            ).csv_row()
-        )
-    emit(ctx, moments.CSV_HEADER, rows)
+    curve = selmer.CurveData(*_parse_curve(args.curve))
+    b_list = [int(b) for b in args.b_list.split(",")]
+    tasks = moments.theorem11_tasks(P, curve, b_list, args.k, ctx.chunk)
+    parts = run_chunks(ctx, "t11", "t11", tasks)
+    reports = moments.theorem11_reduce(b_list, args.k, tasks, parts)
+    emit(ctx, moments.CSV_HEADER, [r.csv_row() for r in reports])
     return EXIT_OK
 
 
@@ -680,25 +538,30 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--dmax", type=int, required=True)
     vr.add_argument("--dmax-pos", type=int, default=10 ** 4)
     vr.add_argument("--sign", choices=("neg", "pos", "both"), default="neg")
+    vr.set_defaults(func=cmd_verify_redei)
     vs = vsub.add_parser("selmer")
     vs.add_argument("--tmax", type=int, required=True)
     vs.add_argument("--curve", default="0,1,-1")
     vs.add_argument("--descent-dmax", type=int, default=0)
     vs.add_argument("--k", type=int, default=1)
+    vs.set_defaults(func=cmd_verify_selmer)
 
     idn = sub.add_parser("identity", help="exact identity checks")
     isub = idn.add_subparsers(dest="target", required=True)
     ifm = isub.add_parser("first-moment")
     ifm.add_argument("--x", type=int, required=True)
     ifm.add_argument("--weight", default="one")
+    ifm.set_defaults(func=cmd_identity_first_moment)
     ikm = isub.add_parser("k-moment")
     ikm.add_argument("--setting", choices=("class", "selmer"), default="class")
     ikm.add_argument("--x", type=int, required=True)
     ikm.add_argument("--k", type=int, default=1)
     ikm.add_argument("--weight", default="one")
     ikm.add_argument("--curve", default="0,1,-1")
+    ikm.set_defaults(func=cmd_identity_k_moment)
 
     mom = sub.add_parser("moment", help="weighted moment reports")
+    mom.set_defaults(func=cmd_moment)
     msub = mom.add_subparsers(dest="target", required=True)
     mc = msub.add_parser("class")
     mc.add_argument("--x", type=int, required=True)
@@ -713,11 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     un = sub.add_parser("unlinked", help="extremal unlinked sets")
     un.add_argument("--setting", choices=("class", "selmer"), required=True)
     un.add_argument("--k", type=int, required=True)
+    un.set_defaults(func=cmd_unlinked)
 
     ch = sub.add_parser("charsum", help="bilinear oscillation sums")
     ch.add_argument("--x", type=int, required=True)
     ch.add_argument("--z", required=True, help="comma-separated z grid")
     ch.add_argument("--scheme", choices=("mu2", "tau"), default="mu2")
+    ch.set_defaults(func=cmd_charsum)
 
     de = sub.add_parser("density", help="density-side reports")
     de.add_argument("mode", choices=("delta", "poly", "lemma210", "frobenian", "h3level"))
@@ -730,12 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--box", type=int, default=100)
     de.add_argument("--x", type=int, default=10 ** 4)
     de.add_argument("--sign", choices=("neg", "pos"), default="neg")
+    de.set_defaults(func=cmd_density)
 
     cg = sub.add_parser("classgroup", help="oracle class groups")
     cg.add_argument("--delta", type=int, default=None)
     cg.add_argument("--dmax", type=int, default=None)
     cg.add_argument("--narrow", action="store_true")
     cg.add_argument("--cache", default=None)
+    cg.set_defaults(func=cmd_classgroup)
 
     ex = sub.add_parser("experiment", help="desk-scale torsion and fibration sums")
     esub = ex.add_subparsers(dest="target", required=True)
@@ -743,11 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     e12.add_argument("--x-list", required=True)
     e12.add_argument("--k", type=int, default=1)
     e12.add_argument("--sign", choices=("neg", "pos"), default="neg")
+    e12.set_defaults(func=cmd_experiment_t12)
     e11 = esub.add_parser("t11")
     e11.add_argument("--poly", default="t")
     e11.add_argument("--curve", default="0,1,-1")
     e11.add_argument("--b-list", required=True)
     e11.add_argument("--k", type=int, default=1)
+    e11.set_defaults(func=cmd_experiment_t11)
     return ap
 
 
@@ -756,29 +625,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         ctx = RunContext(args)
-        if args.command == "verify" and args.target == "redei":
-            return cmd_verify_redei(ctx, args)
-        if args.command == "verify" and args.target == "selmer":
-            return cmd_verify_selmer(ctx, args)
-        if args.command == "identity" and args.target == "first-moment":
-            return cmd_identity_first_moment(ctx, args)
-        if args.command == "identity" and args.target == "k-moment":
-            return cmd_identity_k_moment(ctx, args)
-        if args.command == "moment":
-            return cmd_moment(ctx, args)
-        if args.command == "unlinked":
-            return cmd_unlinked(ctx, args)
-        if args.command == "charsum":
-            return cmd_charsum(ctx, args)
-        if args.command == "density":
-            return cmd_density(ctx, args)
-        if args.command == "classgroup":
-            return cmd_classgroup(ctx, args)
-        if args.command == "experiment" and args.target == "t12":
-            return cmd_experiment_t12(ctx, args)
-        if args.command == "experiment" and args.target == "t11":
-            return cmd_experiment_t11(ctx, args)
-        raise ValueError(f"unhandled command {args.command}")
+        return args.func(ctx, args)
     except IncompleteRun as exc:
         sys.stderr.write(f"stopped early: {exc}; checkpoint holds partial results\n")
         return EXIT_OK

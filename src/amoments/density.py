@@ -355,45 +355,53 @@ def frobenian_average(P: Poly, pmax: int) -> dict:
 # 3-torsion level-of-distribution experiment (oracle-backed)
 
 
-def h3_level_report(
-    X: int, m: int = 1, letters: dict[int, int] | None = None, sign: int = -1
-) -> dict:
-    """Compare sum of (h_3 - 1) over labels divisible by m against the
-    density prediction.
-
-    letters maps a subset of the odd primes of m to a required value of the
-    residue symbol of (label / m); each condition halves the main term.
-    """
-    from . import quadforms
-
+def h3_level_tasks(
+    X: int, m: int, letters: dict[int, int] | None, sign: int, chunk: int
+) -> list[tuple]:
+    """Chunk tasks (lo, hi, m, letters, sign) of h3_level_report: |disc|
+    from 3 to X - 1 in ranges of at most `chunk`."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if m < 1:
+        raise ValueError("need m >= 1")
     letters = dict(letters or {})
     qs = {p for p, _ in arith.factor(m).factors if p != 2} if m > 1 else set()
     if any(q not in qs or e not in (1, -1) for q, e in letters.items()):
         raise ValueError("letters must assign +-1 to odd primes of m")
+    letters = tuple(sorted(letters.items()))
+    return [(lo, hi, m, letters, sign) for lo, hi in arith.split_ranges(3, X - 1, chunk)]
 
-    def matches(n: int) -> bool:
-        return n % m == 0 and all(
-            _symbol_mod(n // m, q) == e for q, e in letters.items()
-        )
 
+def h3_level_chunk(lo: int, hi: int, m: int, letters, sign: int) -> tuple[int, int]:
+    """(sum of h_3 - 1, field count) over the fields of the given sign with
+    lo <= |disc| <= hi whose label is divisible by m and whose residue
+    symbols of (label / m) match the (q, e) letter pairs."""
+    from . import quadforms
+
+    if sign == -1:
+        labels = [
+            (-absd if absd % 4 == 3 else -(absd // 4), counts[0])
+            for absd, _, _, counts in quadforms.neg_torsion_sweep(lo, hi, (3,))
+        ]
+    else:
+        labels = [
+            (d if d % 4 == 1 else d // 4, counts[0])
+            for d, _, _, counts in quadforms.pos_narrow_sweep(lo, hi, (3,))
+        ]
     total = 0
     count = 0
-    if sign == -1:
-        rows = quadforms.neg_torsion_sweep(3, X - 1, (3,))
-        for absd, _, _, counts in rows:
-            n = -absd if absd % 4 == 3 else -(absd // 4)
-            if matches(n):
-                total += counts[0] - 1
-                count += 1
-    else:
-        rows = quadforms.pos_narrow_sweep(3, X - 1, (3,))
-        for d, _, _, counts in rows:
-            n = d if d % 4 == 1 else d // 4
-            if matches(n):
-                total += counts[0] - 1
-                count += 1
+    for n, h3 in labels:
+        if n % m == 0 and all(_symbol_mod(n // m, q) == e for q, e in letters):
+            total += h3 - 1
+            count += 1
+    return total, count
+
+
+def h3_level_reduce(X: int, m: int, letters: dict[int, int] | None, sign: int, parts: list) -> dict:
+    """The report of h3_level_report from the chunk parts."""
+    letters = dict(letters or {})
+    total = sum(p[0] for p in parts)
+    count = sum(p[1] for p in parts)
     main = (3 if sign == -1 else 1) * X * delta(m) / (2 ** len(letters) * math.pi ** 2)
     return {
         "X": X,
@@ -405,3 +413,16 @@ def h3_level_report(
         "prediction": main,
         "ratio": total / main if main else math.inf,
     }
+
+
+def h3_level_report(
+    X: int, m: int = 1, letters: dict[int, int] | None = None, sign: int = -1
+) -> dict:
+    """Compare sum of (h_3 - 1) over labels divisible by m against the
+    density prediction.
+
+    letters maps a subset of the odd primes of m to a required value of the
+    residue symbol of (label / m); each condition halves the main term.
+    """
+    tasks = h3_level_tasks(X, m, letters, sign, max(X, 1))
+    return h3_level_reduce(X, m, letters, sign, [h3_level_chunk(*t) for t in tasks])

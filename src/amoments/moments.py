@@ -567,45 +567,72 @@ def class_pre_average_expansion(X: int, k: int, weight: Weight) -> Fraction:
 # oscillation experiment
 
 
-def oscillation_experiment(X: int, z_list: list[int], scheme: str = "mu2") -> list[dict]:
-    """Bilinear residue-symbol sums over odd square-free pairs above z.
-
-    Reports |sum| * z^(1/20) / (X log^3 X) on the z grid plus a fitted decay
-    exponent across the grid.
-    """
-    if X > 10 ** 7:
-        raise ValueError("supports X <= 10^7")
+def oscillation_tasks(X: int, z_list: list[int], scheme: str, chunk: int) -> list[tuple]:
+    """Chunk tasks (X, z, lo, hi, scheme) of the oscillation sums: for each
+    distinct z, the outer variable m1 over (z, X // (z + 1)] in ranges of at
+    most `chunk`."""
+    if not 2 <= X <= 10 ** 7:
+        raise ValueError("supports 2 <= X <= 10^7")
     if scheme not in ("mu2", "tau"):
         raise ValueError("scheme must be 'mu2' or 'tau'")
-    sf = arith.squarefree_sieve(X)
+    if min(z_list) < 1:
+        raise ValueError("z must be positive")
+    return [
+        (X, z, lo, hi, scheme)
+        for z in dict.fromkeys(z_list)
+        for lo, hi in arith.split_ranges(z + 1, X // (z + 1), chunk)
+    ]
+
+
+# square-free table of the last X, so each process sieves once per X
+_CHARSUM_SIEVES: dict[int, bytearray] = {}
+
+
+def oscillation_chunk(X: int, z: int, lo: int, hi: int, scheme: str) -> int:
+    """Sum of w(m1) w(m2) (m1/m2) over odd square-free m1 in [lo, hi] and
+    m2, both above z, with m1 m2 <= X; w is 1 (mu2) or 2^omega (tau)."""
+    if X not in _CHARSUM_SIEVES:
+        _CHARSUM_SIEVES.clear()
+        _CHARSUM_SIEVES[X] = arith.squarefree_sieve(X)
+    sf = _CHARSUM_SIEVES[X]
     spf = arith.spf_cached(X) if scheme == "tau" else None
+    jac = jacobi
+    total = 0
+    m1 = max(lo, z + 1)
+    if m1 % 2 == 0:
+        m1 += 1
+    start2 = z + 1 + ((z + 1) % 2 == 0)
+    while m1 <= hi:
+        if m1 * (z + 1) <= X and sf[m1]:
+            w1 = 1 if scheme == "mu2" else 1 << len(arith.factor_by_spf(m1, spf))
+            lim = X // m1
+            for m2 in range(start2, lim + 1, 2):
+                if sf[m2]:
+                    if scheme == "mu2":
+                        total += w1 * jac(m1 % m2, m2)
+                    else:
+                        total += (
+                            w1
+                            * (1 << len(arith.factor_by_spf(m2, spf)))
+                            * jac(m1 % m2, m2)
+                        )
+        m1 += 2
+    return total
 
-    def w(n: int) -> int:
-        if scheme == "mu2":
-            return 1
-        return 1 << len(arith.factor_by_spf(n, spf))
 
-    rows = []
-    sums = {}
-    for z in z_list:
-        total = 0
-        m1 = z + 1
-        if m1 % 2 == 0:
-            m1 += 1
-        jac = jacobi
-        while m1 * (z + 1) <= X:
-            if sf[m1]:
-                w1 = w(m1)
-                lim = X // m1
-                for m2 in range(z + 1 + (z % 2), lim + 1, 2):
-                    if sf[m2]:
-                        total += w1 * w(m2) * jac(m1 % m2, m2)
-            m1 += 2
-        sums[z] = total
-        norm = abs(total) * z ** (1 / 20) / (X * math.log(X) ** 3)
-        rows.append({"X": X, "z": z, "scheme": scheme, "sum": total, "normalized": norm})
-    # fitted exponent of |sum| ~ z^(-t) across consecutive grid points
-    pts = [(math.log(z), math.log(abs(s))) for z, s in sums.items() if s]
+def oscillation_reduce(X: int, z_list: list[int], scheme: str, tasks: list[tuple], parts: list[int]) -> list[dict]:
+    """One row per z: the sum, |sum| * z^(1/20) / (X log^3 X), and the decay
+    exponent of |sum| ~ z^(-t) fitted across the grid (None below two
+    nonzero sums)."""
+    sums = dict.fromkeys(z_list, 0)
+    for (_, z, _, _, _), part in zip(tasks, parts):
+        sums[z] += part
+    rows = [
+        {"X": X, "z": z, "scheme": scheme, "sum": sums[z],
+         "normalized": abs(sums[z]) * z ** (1 / 20) / (X * math.log(X) ** 3)}
+        for z in z_list
+    ]
+    pts = [(math.log(r["z"]), math.log(abs(r["sum"]))) for r in rows if r["sum"]]
     slope = None
     if len(pts) >= 2:
         n = len(pts)
@@ -617,6 +644,16 @@ def oscillation_experiment(X: int, z_list: list[int], scheme: str = "mu2") -> li
     for row in rows:
         row["fitted_exponent"] = slope
     return rows
+
+
+def oscillation_experiment(X: int, z_list: list[int], scheme: str = "mu2") -> list[dict]:
+    """Bilinear residue-symbol sums over odd square-free pairs above z.
+
+    Reports |sum| * z^(1/20) / (X log^3 X) on the z grid plus a fitted decay
+    exponent across the grid.
+    """
+    tasks = oscillation_tasks(X, z_list, scheme, X)
+    return oscillation_reduce(X, z_list, scheme, tasks, [oscillation_chunk(*t) for t in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -671,19 +708,24 @@ def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
     return exact, majorant
 
 
-def theorem12_experiment(X_list: list[int], k: int, sign: int = -1) -> list[MomentReport]:
-    """Exact torsion sums against the 3-torsion * two-part majorant,
-    normalized by X log X."""
-    if max(X_list) > 10 ** 6:
-        raise ValueError("oracle bound is 10^6")
+def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tuple]:
+    """Chunk tasks (lo, hi, k, sign) of theorem12_experiment: |delta| from 3
+    to max(X_list) in ranges of at most `chunk`, cut at every X."""
+    if max(X_list) > 10 ** 6 or min(X_list) < 2:
+        raise ValueError("oracle supports 2 <= X <= 10^6")
+    return [(lo, hi, k, sign) for lo, hi in arith.split_ranges(3, max(X_list), chunk, X_list)]
+
+
+def theorem12_reduce(X_list: list[int], k: int, sign: int, tasks: list[tuple], parts: list) -> list[MomentReport]:
+    """Cumulative exact and majorant sums at each X from the chunk parts."""
     out = []
-    prev = 0
     exact = majorant = 0
+    i = 0
     for X in sorted(X_list):
-        dx, dm = theorem12_chunk(prev + 1, X, k, sign)
-        exact += dx
-        majorant += dm
-        prev = X
+        while i < len(tasks) and tasks[i][1] <= X:
+            exact += parts[i][0]
+            majorant += parts[i][1]
+            i += 1
         norm = X * math.log(X)
         out.append(
             MomentReport("t12-exact", "class", X, k, sign, "one", exact, exact / norm)
@@ -692,6 +734,13 @@ def theorem12_experiment(X_list: list[int], k: int, sign: int = -1) -> list[Mome
             MomentReport("t12-majorant", "class", X, k, sign, "one", majorant, majorant / norm)
         )
     return out
+
+
+def theorem12_experiment(X_list: list[int], k: int, sign: int = -1) -> list[MomentReport]:
+    """Exact torsion sums against the 3-torsion * two-part majorant,
+    normalized by X log X."""
+    tasks = theorem12_tasks(X_list, k, sign, max(X_list))
+    return theorem12_reduce(X_list, k, sign, tasks, [theorem12_chunk(*t) for t in tasks])
 
 
 _SIEVE_PRIME_BOUND = 3000
@@ -751,36 +800,44 @@ def theorem11_chunk(P, lo: int, hi: int, curve: selmer.CurveData, k: int) -> int
     return total
 
 
-def theorem11_experiment(P, curve: selmer.CurveData, B_list: list[int], k: int = 1) -> list[MomentReport]:
-    """Averages of the selmer majorant along one polynomial fibration,
-    normalized by the count of lattice points (2B+1)."""
-    if max(B_list) > 10 ** 4 or P.nvars != 1 or P.degree() > 3:
-        raise ValueError("supports one variable, degree <= 3, B <= 10^4")
+def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk: int) -> list[tuple]:
+    """Chunk tasks (P, lo, hi, curve, k) of theorem11_experiment: t from
+    -max(B) to max(B) in ranges of at most `chunk`, cut at every -B and B."""
+    if max(B_list) > 10 ** 4 or min(B_list) < 0 or P.nvars != 1 or P.degree() > 3:
+        raise ValueError("supports one variable, degree <= 3, 0 <= B <= 10^4")
+    B = max(B_list)
+    cuts = [-b - 1 for b in B_list] + list(B_list)
+    return [(P, lo, hi, curve, k) for lo, hi in arith.split_ranges(-B, B, chunk, cuts)]
+
+
+def theorem11_reduce(B_list: list[int], k: int, tasks: list[tuple], parts: list[int]) -> list[MomentReport]:
+    """The majorant sum over -B <= t <= B for each B from the chunk parts."""
     out = []
     for B in sorted(B_list):
-        total = theorem11_chunk(P, -B, B, curve, k)
+        total = sum(part for (_, lo, hi, _, _), part in zip(tasks, parts) if -B <= lo and hi <= B)
         out.append(
-            MomentReport(
-                "t11-majorant",
-                "selmer",
-                B,
-                k,
-                1,
-                "one",
-                total,
-                total / (2 * B + 1),
-            )
+            MomentReport("t11-majorant", "selmer", B, k, 1, "one", total, total / (2 * B + 1))
         )
     return out
 
 
-def weighted_moment_profile(X: int, ks: tuple[int, ...], weight: Weight) -> dict[int, MomentReport]:
-    """Weighted class moments with the power-of-average twist statistic for
+def theorem11_experiment(P, curve: selmer.CurveData, B_list: list[int], k: int = 1) -> list[MomentReport]:
+    """Averages of the selmer majorant along one polynomial fibration,
+    normalized by the count of lattice points (2B+1)."""
+    tasks = theorem11_tasks(P, curve, B_list, k, 2 * max(B_list) + 1)
+    return theorem11_reduce(B_list, k, tasks, [theorem11_chunk(*t) for t in tasks])
+
+
+def weighted_moment_profile(
+    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None = None
+) -> dict[int, MomentReport]:
+    """Weighted moments with the power-of-average twist statistic for
     several exponents in one sweep, normalized by X/log X times the Euler
-    factor product."""
+    factor product: class-group twists, or with a curve its selmer twists."""
     totals = {k: Fraction(0) for k in ks}
-    for m, primes in odd_squarefree_with_primes(X):
-        sizes = redei.all_kernel_sizes(m)
+    coprime_to = 1 if curve is None else 2 * curve.omega
+    for m, primes in odd_squarefree_with_primes(X, coprime_to):
+        sizes = redei.all_kernel_sizes(m) if curve is None else selmer.g_r_all_eps(curve, m)
         avg = Fraction(sum(sizes), len(sizes))
         fm = weight.of_omega(len(primes))
         for k in ks:
@@ -791,13 +848,16 @@ def weighted_moment_profile(X: int, ks: tuple[int, ...], weight: Weight) -> dict
             break
         euler *= 1 + float(weight.at_prime(p)) / p
     scale = X / math.log(X) * euler
+    setting = "class" if curve is None else "selmer"
     return {
         k: MomentReport(
-            "weighted-moment", "class", X, k, 1, weight.name, totals[k], float(totals[k]) / scale
+            "weighted-moment", setting, X, k, 1, weight.name, totals[k], float(totals[k]) / scale
         )
         for k in ks
     }
 
 
-def weighted_moment_report(X: int, k: int, weight: Weight) -> MomentReport:
-    return weighted_moment_profile(X, (k,), weight)[k]
+def weighted_moment_report(
+    X: int, k: int, weight: Weight, curve: selmer.CurveData | None = None
+) -> MomentReport:
+    return weighted_moment_profile(X, (k,), weight, curve)[k]

@@ -59,10 +59,6 @@ def _reduce_neg(a: int, b: int, c: int) -> Form:
         return a, b, c
 
 
-def _sqrt_floor(D: int) -> int:
-    return math.isqrt(D)
-
-
 def _pos_window(t: int, a: int, sD: int) -> int:
     """Normalized residue of t mod 2|a|: in (-|a|, |a|] when |a| > sqrt(D),
     else in (sD - 2|a|, sD]."""
@@ -167,7 +163,7 @@ def principal_form_neg(D: int) -> Form:
 
 def reduced_forms_pos(D: int) -> list[Form]:
     """All reduced forms of fundamental discriminant D > 0 (both signs of a)."""
-    sD = _sqrt_floor(D)
+    sD = math.isqrt(D)
     forms = []
     for b in range(2 - (D & 1), sD + 1, 2):
         M = (D - b * b) // 4
@@ -269,7 +265,7 @@ class _PosNarrow:
 
     def __init__(self, D: int):
         self.D = D
-        self.sD = _sqrt_floor(D)
+        self.sD = math.isqrt(D)
         forms = reduced_forms_pos(D)
         self.cycle_id: dict[Form, int] = {}
         n = 0
@@ -394,10 +390,6 @@ def fundamental_unit_norm(delta: int) -> int:
 # sweep workers (picklable, deterministic)
 
 
-def _spf_for(limit: int) -> array:
-    return arith.spf_cached(limit)
-
-
 def neg_torsion_sweep(
     lo_abs: int, hi_abs: int, torsion_ns: tuple[int, ...] = (2, 3, 4)
 ) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -406,7 +398,7 @@ def neg_torsion_sweep(
     Returns rows (|delta|, omega(delta), h, counts aligned with torsion_ns),
     sorted by |delta|.  Counts are #Cl[n] for the (ordinary = narrow) group.
     """
-    spf = _spf_for(hi_abs)
+    spf = arith.spf_cached(hi_abs)
     rows = []
     for absd in range(max(lo_abs, 3), hi_abs + 1):
         d = -absd

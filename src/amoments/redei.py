@@ -31,14 +31,12 @@ class TwistedRedei:
     matrix: Gf2Matrix
 
 
-def build_redei(m: int, narrow: bool = True) -> RedeiSystem:
+def build_redei(m: int) -> RedeiSystem:
     """The r x r residue matrix whose rank gives the narrow 4-rank.
 
     Off-diagonal entry (i, j) is the Frobenius value of the j-th prime
     discriminant character at p_i; diagonals make every row sum to zero.
     """
-    if not narrow:
-        raise ValueError("only the narrow class group is supported by this matrix")
     if m in (0, 1) or not arith.is_squarefree(m):
         raise ValueError("need a square-free integer distinct from 0 and 1")
     delta = arith.discriminant(m)

@@ -297,16 +297,6 @@ def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
     return out
 
 
-def avg_gk_selmer(curve: CurveData, m: int, k: int) -> Fraction:
-    sizes = g_r_all_eps(curve, m)
-    return Fraction(sum(s ** k for s in sizes), len(sizes))
-
-
-def f_star_selmer(curve: CurveData, m: int, k: int = 1) -> Fraction:
-    sizes = g_r_all_eps(curve, m)
-    return Fraction(sum(sizes), len(sizes)) ** k
-
-
 # ---------------------------------------------------------------------------
 # local solubility of descent torsors (used as a guaranteed fallback and by
 # the test suite as an independent check)

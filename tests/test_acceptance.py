@@ -182,19 +182,17 @@ def test_criterion_08_unlinked_extremals():
             assert moments.check_P_identity(k), k
 
 
-def _h3_ratio(x: int, m: int = 1, tmp_dir=None) -> float:
+def _h3_ratio(x: int, tmp_dir, m: int = 1) -> float:
     from amoments import density
 
-    out_args = []
-    if tmp_dir is not None:
-        out_args = ["--out", str(tmp_dir / f"h3_{x}_{m}.csv")]
+    out = tmp_dir / f"h3_{x}_{m}.csv"
     code = cli.main(
-        out_args
-        + ["--threads", THREADS, "--chunk", "8000", "density", "h3level", "--x", str(x), "--m", str(m), "--sign", "neg"]
+        ["--out", str(out), "--threads", THREADS, "--chunk", "8000"]
+        + ["density", "h3level", "--x", str(x), "--m", str(m), "--sign", "neg"]
     )
     assert code == 0
-    parts = [cli._w_h3(lo, hi, m, (), -1) for lo, hi in cli.split_ranges(3, x - 1, 50000)]
-    total = sum(p[0] for p in parts)
+    row = next(ln for ln in out.read_text().splitlines() if ln.startswith("h3_sum,"))
+    total = int(row.split(",")[2])
     return total / float(3 * x * density.delta(m) / math.pi ** 2)
 
 

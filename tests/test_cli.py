@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from amoments import cli
+from amoments import cli, density, moments, selmer
 
 
 def run_cli(argv, capsys):
@@ -198,3 +198,189 @@ def test_worker_value_error_is_usage_error(threads, capsys):
     code = cli.main(["--threads", threads, "verify", "selmer", "--tmax", "10", "--curve", "0,0,1"])
     assert code == 2
     assert "roots must be distinct" in capsys.readouterr().err
+
+
+def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
+    asked = []
+
+    class RecordingPool:
+        """Runs jobs in this process and records the requested worker count."""
+
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    # two phases of one chunk each: a one-process pool apiece
+    argv = ["--threads", "3", "verify", "selmer", "--tmax", "30", "--descent-dmax", "20"]
+    assert cli.main(argv) == 0
+    assert asked == [1, 1]
+    asked.clear()
+    argv = ["--threads", "3", "--chunk", "150", "experiment", "t12", "--x-list", "300"]
+    assert cli.main(argv) == 0
+    assert asked == [2]
+
+
+# (argv, --max-chunks that stops the first run inside its last phase)
+MULTI_PHASE = {
+    "redei-both": (
+        ["--chunk", "100", "verify", "redei", "--dmax", "200", "--sign", "both", "--dmax-pos", "300"], 3
+    ),
+    "selmer-descent": (
+        ["--chunk", "20", "verify", "selmer", "--tmax", "50", "--descent-dmax", "60", "--k", "1"], 4
+    ),
+    "charsum-two-z": (["--chunk", "300", "charsum", "--x", "20000", "--z", "10,20"], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PHASE))
+def test_multi_phase_checkpoint_resumes(name, tmp_path):
+    argv, stop = MULTI_PHASE[name]
+    ref = tmp_path / "ref.csv"
+    assert cli.main(["--out", str(ref), "--threads", "1", *argv]) == 0
+    cp = tmp_path / "run.ckpt"
+    out = tmp_path / "resumed.csv"
+    base = ["--out", str(out), "--checkpoint", str(cp), "--threads", "1"]
+    assert cli.main([*base, "--max-chunks", str(stop), *argv]) == 0
+    assert not out.exists()
+    assert cli.main([*base, *argv]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+# (argv and --max-chunks of the interrupted run, the changed option and its new value)
+CHANGED = {
+    "chunk": (["--chunk", "50", "experiment", "t12", "--x-list", "300"], 2, "--chunk", "100"),
+    "dmax-pos": (*MULTI_PHASE["redei-both"], "--dmax-pos", "400"),
+    "descent-k": (*MULTI_PHASE["selmer-descent"], "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANGED))
+def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
+    argv, stop, option, value = CHANGED[name]
+    cp = tmp_path / "run.ckpt"
+    base = ["--threads", "1", "--checkpoint", str(cp), "--out", str(tmp_path / "out.csv")]
+    assert cli.main([*base, "--max-chunks", str(stop), *argv]) == 0
+    changed = list(argv)
+    changed[changed.index(option) + 1] = value
+    code = cli.main([*base, *changed])
+    assert code == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "h3level", "--x", "2000", "--m", "1", "--letters", "5:1"],
+        ["charsum", "--x", str(10 ** 8), "--z", "10"],
+        ["experiment", "t11", "--poly", "t^4+1", "--b-list", "10"],
+    ],
+)
+def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(cli, "run_chunks", lambda *args: started.append(args))
+    assert cli.main(["--threads", "1", *argv]) == 2
+    assert not started
+    assert "usage error" in capsys.readouterr().err
+
+
+def _report_csv(reports):
+    return "\n".join([moments.CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
+
+
+def _charsum_csv(rows):
+    lines = ["quantity,scheme,X,z,sum,normalized"] + [
+        f"charsum,{r['scheme']},{r['X']},{r['z']},{r['sum']},{r['normalized']:.15g}" for r in rows
+    ]
+    if rows[0]["fitted_exponent"] is not None:
+        lines.append(f"charsum_fitted_exponent,{rows[0]['scheme']},{rows[0]['X']},,,{rows[0]['fitted_exponent']:.15g}")
+    return "\n".join(lines) + "\n"
+
+
+def _h3_csv(rep):
+    x = rep["X"]
+    return (
+        "quantity,parameter,value\n"
+        f"h3_sum,{x},{rep['sum_h3_minus_1']}\n"
+        f"h3_fields,{x},{rep['fields']}\n"
+        f"h3_prediction,{x},{float(rep['prediction']):.15g}\n"
+        f"h3_ratio,{x},{rep['ratio']:.15g}\n"
+    )
+
+
+# (CLI argv with a --chunk that gives at least 3 chunks, library result as CSV)
+AGAINST_LIBRARY = {
+    "t12": (
+        ["--chunk", "100", "experiment", "t12", "--x-list", "200,400", "--sign", "neg"],
+        lambda: _report_csv(moments.theorem12_experiment([200, 400], 1, -1)),
+    ),
+    "t11": (
+        ["--chunk", "20", "experiment", "t11", "--poly", "t^2+1", "--curve", "0,1,2", "--b-list", "20,40"],
+        lambda: _report_csv(
+            moments.theorem11_experiment(
+                density.poly_from_string("t^2+1"), selmer.CurveData(0, 1, 2), [20, 40], 1
+            )
+        ),
+    ),
+    "charsum-mu2": (
+        ["--chunk", "300", "charsum", "--x", "20000", "--z", "10,20", "--scheme", "mu2"],
+        lambda: _charsum_csv(moments.oscillation_experiment(20000, [10, 20], "mu2")),
+    ),
+    "charsum-tau": (
+        ["--chunk", "100", "charsum", "--x", "5000", "--z", "5,9", "--scheme", "tau"],
+        lambda: _charsum_csv(moments.oscillation_experiment(5000, [5, 9], "tau")),
+    ),
+    "h3level-neg": (
+        ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:1", "--sign", "neg"],
+        lambda: _h3_csv(density.h3_level_report(2000, 3, {3: 1}, -1)),
+    ),
+    "h3level-pos": (
+        ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:-1", "--sign", "pos"],
+        lambda: _h3_csv(density.h3_level_report(2000, 3, {3: -1}, 1)),
+    ),
+    "moment-selmer": (
+        ["moment", "selmer", "--x", "80", "--k", "2", "--curve", "0,1,2"],
+        lambda: _report_csv(
+            [moments.weighted_moment_report(80, 2, moments.weight_by_name("one"), selmer.CurveData(0, 1, 2))]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(AGAINST_LIBRARY))
+def test_cli_equals_library(name, threads, tmp_path):
+    argv, library_csv = AGAINST_LIBRARY[name]
+    out = tmp_path / "out.csv"
+    assert cli.main(["--out", str(out), "--threads", threads, *argv]) in (0, 1)
+    assert out.read_text() == library_csv()
+
+
+def test_checkpoint_with_unfinished_earlier_section_is_refused(tmp_path, capsys):
+    argv, _ = MULTI_PHASE["redei-both"]
+    cp = tmp_path / "run.ckpt"
+    base = ["--threads", "1", "--checkpoint", str(cp), "--out", str(tmp_path / "out.csv")]
+    assert cli.main([*base, *argv]) == 0
+    lines = cp.read_text().splitlines()
+    assert sum(ln.startswith("config=") for ln in lines) == 2
+    # drop a chunk of the first section: recomputing it would append its line
+    # to the second section
+    del lines[next(i for i, ln in enumerate(lines) if ln.startswith("chunk."))]
+    cp.write_text("\n".join(lines) + "\n")
+    assert cli.main([*base, *argv]) == 2
+    assert "unfinished section" in capsys.readouterr().err
+
+
+def test_negative_max_chunks_is_usage_error(capsys):
+    code = cli.main(["--threads", "1", "--max-chunks", "-1", "experiment", "t12", "--x-list", "300"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err

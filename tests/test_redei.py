@@ -20,8 +20,6 @@ def test_build_redei_examples():
     assert sys_neg5.matrix.rank() == 1
     with pytest.raises(ValueError):
         redei.build_redei(12)
-    with pytest.raises(ValueError):
-        redei.build_redei(7, narrow=False)
 
 
 def test_row_sums_zero():
