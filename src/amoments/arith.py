@@ -133,6 +133,14 @@ class FactoredInt:
         if prod != self.value:
             raise ValueError("factorization does not multiply back to value")
 
+    @classmethod
+    def _proven(cls, value: int, sign: int, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
+        """Build without the checks of __post_init__, for a factorization
+        whose primes were just proven prime and multiplied out by factor()."""
+        self = object.__new__(cls)
+        self.__dict__.update(value=value, sign=sign, factors=factors)
+        return self
+
     @property
     def omega(self) -> int:
         return len(self.factors)
@@ -197,7 +205,7 @@ def factor(n: int) -> FactoredInt:
             fac[m] = fac.get(m, 0) + 1
         else:
             _factor_into(m, fac)
-    return FactoredInt(n, sign, tuple(sorted(fac.items())))
+    return FactoredInt._proven(n, sign, tuple(sorted(fac.items())))
 
 
 def omega(n: int) -> int:
@@ -330,9 +338,13 @@ def prime_discriminant_decompose(delta: int) -> list[PrimeDiscriminant]:
     """
     if not is_fundamental_discriminant(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
-    odd_parts = [
-        PrimeDiscriminant(star(p), p) for p, _ in factor(delta).factors if p != 2
-    ]
+    return _split_prime_discriminants(delta, factor(delta))
+
+
+def _split_prime_discriminants(delta: int, fac: FactoredInt) -> list[PrimeDiscriminant]:
+    """prime_discriminant_decompose for a fundamental delta, given the
+    factorization of delta or of its square-free label (same odd primes)."""
+    odd_parts = [PrimeDiscriminant(star(p), p) for p, _ in fac.factors if p != 2]
     residual = delta
     for pd in odd_parts:
         residual //= pd.value

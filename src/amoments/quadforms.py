@@ -11,7 +11,6 @@ torsion counts, which a desk-scale class number makes cheap.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 from . import arith
@@ -40,6 +39,18 @@ def _compose(f1: Form, f2: Form, D: int) -> Form:
     b3 = (num // d) % (2 * abs(a3))
     c3 = (b3 * b3 - D) // (4 * a3)
     return a3, b3, c3
+
+
+def _square(a: int, b: int, c: int, D: int) -> Form:
+    """f * f for a primitive form f = (a, b, c) of discriminant D, unreduced,
+    from one extended gcd (the duplication step of Shanks' NUDUPL; Cohen,
+    GTM 138, 5.4).  With d = gcd(a, b) = x*a + y*b and A = a/d, the square is
+    (A^2, B, .) where B = b + 2A*k and k = -c*y mod A makes B^2 = D mod 4A^2."""
+    d, _, y = arith.ext_gcd(a, b)
+    A = a // d
+    B = b + 2 * A * (-c * y % A)
+    a3 = A * A
+    return a3, B, (B * B - D) // (4 * a3)
 
 
 def _reduce_neg(a: int, b: int, c: int) -> Form:
@@ -107,18 +118,6 @@ def _reduce_pos(a: int, b: int, c: int, D: int, sD: int) -> Form:
 # reduced-form enumeration
 
 
-def _divisors_spf(n: int, spf: array) -> list[int]:
-    divs = [1]
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        divs += [d * p ** i for d in divs for i in range(1, e + 1)]
-    return divs
-
-
 def _divisors_trial(n: int) -> list[int]:
     divs = [1]
     m = n
@@ -136,14 +135,13 @@ def _divisors_trial(n: int) -> list[int]:
     return divs
 
 
-def reduced_forms_neg(D: int, spf: array | None = None) -> list[Form]:
+def reduced_forms_neg(D: int) -> list[Form]:
     """All reduced primitive forms of fundamental discriminant D < 0."""
     forms = []
     blim = math.isqrt(-D // 3)
     for b in range(D & 1, blim + 1, 2):
         N = (b * b - D) // 4
-        divs = _divisors_spf(N, spf) if spf is not None else _divisors_trial(N)
-        for a in divs:
+        for a in _divisors_trial(N):
             if a < b or a == 0 or a * a > N:
                 continue
             if a < 1:
@@ -198,21 +196,17 @@ class _Group:
         self.e = e
 
     def power(self, x: int, k: int) -> int:
-        acc = self.e
+        """x^k by binary powering, with no squaring past the top bit of k
+        and no composition with e."""
+        acc = None
         base = x
         while k:
             if k & 1:
-                acc = self.op(acc, base)
-            base = self.op(base, base)
+                acc = base if acc is None else self.op(acc, base)
             k >>= 1
-        return acc
-
-    def power_map(self, k: int) -> list[int]:
-        return [self.power(x, k) for x in range(self.n)]
-
-    def torsion_count(self, m: int) -> int:
-        e = self.e
-        return sum(1 for x in self.power_map(m) if x == e)
+            if k:
+                base = self.op(base, base)
+        return self.e if acc is None else acc
 
     def invariants(self) -> tuple[int, ...]:
         """Cyclic orders d1 | d2 | ... (nontrivial), from torsion counts."""
@@ -249,8 +243,33 @@ class _Group:
         return tuple(out)
 
 
-def _group_neg(D: int, spf: array | None = None) -> tuple[list[Form], _Group]:
-    forms = reduced_forms_neg(D, spf)
+def _torsion_counts(sq: dict, e, ns: tuple[int, ...]) -> tuple[int, ...]:
+    """#G[n] for each n = 2^j or 3 * 2^j, for the finite abelian group G
+    given by its squaring map sq (element -> its square).
+
+    x is 2^j-torsion when j squarings send it to e, x^3 = e exactly when
+    x^4 = x, and #G[3 * 2^j] = #G[3] * #G[2^j].
+    """
+    vs = []
+    for n in ns:
+        v = (n & -n).bit_length() - 1
+        if n < 1 or n >> v not in (1, 3):
+            raise ValueError(f"torsion order {n} is not of the form 2^a or 3*2^a")
+        vs.append(v)
+    need3 = len(sq) % 3 == 0 and any(n >> v == 3 for n, v in zip(ns, vs))
+    elements = images = list(sq)
+    c2 = [1]
+    c3 = 1
+    for j in range(1, max([*vs, 2 if need3 else 0]) + 1):
+        images = [sq[x] for x in images]
+        c2.append(images.count(e))
+        if j == 2 and need3:
+            c3 = sum(1 for x, y in zip(elements, images) if x == y)
+    return tuple(c2[v] * (c3 if n >> v == 3 else 1) for n, v in zip(ns, vs))
+
+
+def _group_neg(D: int) -> tuple[list[Form], _Group]:
+    forms = reduced_forms_neg(D)
     index = {f: i for i, f in enumerate(forms)}
     e = index[principal_form_neg(D)]
 
@@ -390,108 +409,82 @@ def fundamental_unit_norm(delta: int) -> int:
 # sweep workers (picklable, deterministic)
 
 
+# A reduced form (a, b, c) of a discriminant D < 0 is kept as the packed key
+# a * _KEY + b, with c = (b^2 - D) / 4a; |b| <= a < _KEY / 2 for every
+# |D| <= DISC_BOUND.
+_KEY = 1 << 16
+
+
 def neg_torsion_sweep(
     lo_abs: int, hi_abs: int, torsion_ns: tuple[int, ...] = (2, 3, 4)
 ) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Per-discriminant data for fundamental -hi_abs < delta <= -lo_abs.
+    """Per-discriminant data for fundamental delta < 0 with
+    lo_abs <= |delta| <= hi_abs.
 
     Returns rows (|delta|, omega(delta), h, counts aligned with torsion_ns),
-    sorted by |delta|.  Counts are #Cl[n] for the (ordinary = narrow) group.
+    sorted by |delta|.  Counts are #Cl[n] for the (ordinary = narrow) group,
+    for n = 2^a or 3*2^a.
+
+    The reduced forms of the whole range are tabulated in one pass over
+    (a, b, c) with 0 <= b <= a <= c and lo_abs <= 4ac - b^2 <= hi_abs, bucketed
+    by discriminant; only fundamental discriminants keep a bucket, and their
+    forms are all primitive.  The form (a, -b, c), reduced when
+    0 < b < a < c, is the inverse of (a, b, c), so only b >= 0 is stored and
+    squared, and the square of the inverse is the inverse of the square.
     """
+    lo = max(lo_abs, 3)
+    if hi_abs < lo:
+        return []
     spf = arith.spf_cached(hi_abs)
+    buckets: list[list[int] | None] = [None] * (hi_abs - lo + 1)
+    omegas = {}
+    for absd in range(lo, hi_abs + 1):
+        if absd % 4 == 3 or (absd % 4 == 0 and (-(absd // 4)) % 4 in (2, 3)):
+            fac = arith.factor_by_spf(absd, spf)
+            if all(e == 1 for p, e in fac if p != 2):
+                buckets[absd - lo] = []
+                omegas[absd] = len(fac)
+    for a in range(1, math.isqrt(hi_abs // 3) + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            # |D| of the smallest c >= a with 4ac - b^2 >= lo; c + 1 adds 4a
+            n = step * max(a, -(-(lo + b * b) // step)) - b * b
+            if n <= hi_abs:
+                key = a * _KEY + b
+                for bucket in buckets[n - lo :: step]:
+                    if bucket is not None:
+                        bucket.append(key)
     rows = []
-    for absd in range(max(lo_abs, 3), hi_abs + 1):
-        d = -absd
-        if absd % 4 == 3:
-            if not _sf_by_spf(absd, spf):
-                continue
-        elif absd % 4 == 0:
-            m = absd // 4
-            if (-m) % 4 not in (2, 3) or not _sf_by_spf(m, spf):
-                continue
-        else:
-            continue
-        rows.append((absd, _omega_by_spf(absd, spf)) + _neg_counts(d, torsion_ns, spf))
+    for absd, om in omegas.items():
+        sq: dict[int, int] = {}
+        for key in buckets[absd - lo]:
+            a, b = divmod(key, _KEY)
+            c = (b * b + absd) // (4 * a)
+            A, B, C = _reduce_neg(*_square(a, b, c, -absd))
+            s = A * _KEY + B
+            sq[key] = s
+            if 0 < b < a < c:
+                sq[key - 2 * b] = s - 2 * B if 0 < abs(B) < A < C else s
+        buckets[absd - lo] = None  # free each bucket once its discriminant is done
+        counts = _torsion_counts(sq, _KEY + (absd & 1), torsion_ns)
+        rows.append((absd, om, len(sq), counts))
     return rows
-
-
-def _sf_by_spf(n: int, spf: array) -> bool:
-    while n > 1:
-        p = spf[n]
-        n //= p
-        if n % p == 0:
-            return False
-    return True
-
-
-def _omega_by_spf(n: int, spf: array) -> int:
-    w = 0
-    while n > 1:
-        p = spf[n]
-        w += 1
-        while n % p == 0:
-            n //= p
-    return w
-
-
-def _neg_counts(
-    D: int, torsion_ns: tuple[int, ...], spf: array
-) -> tuple[int, tuple[int, ...]]:
-    forms = reduced_forms_neg(D, spf)
-    index = {f: i for i, f in enumerate(forms)}
-    h = len(forms)
-    e = index[principal_form_neg(D)]
-    # factor every requested torsion order into its 2-part and 3-part
-    need2 = 0
-    need3 = False
-    for n in torsion_ns:
-        v2 = (n & -n).bit_length() - 1
-        need2 = max(need2, v2)
-        rest = n >> v2
-        if rest == 3:
-            need3 = True
-        elif rest != 1:
-            raise ValueError(f"torsion order {n} is not of the form 2^a or 3*2^a")
-    sq = [0] * h
-    for i, f in enumerate(forms):
-        sq[i] = index[_reduce_neg(*_compose(f, f, D))]
-    pow2 = list(range(h))
-    c2: dict[int, int] = {0: 1}
-    for j in range(1, need2 + 1):
-        pow2 = [sq[x] for x in pow2]
-        c2[j] = sum(1 for x in pow2 if x == e)
-    c3 = 1
-    if need3:
-        if h % 3:
-            c3 = 1
-        else:
-            cube = [0] * h
-            for i, f in enumerate(forms):
-                cube[i] = index[_reduce_neg(*_compose(f, forms[sq[i]], D))]
-            c3 = sum(1 for x in cube if x == e)
-    out = []
-    for n in torsion_ns:
-        v2 = (n & -n).bit_length() - 1
-        val = c2.get(v2, 1) if v2 else 1
-        if n >> v2 != 1:
-            val *= c3
-        out.append(val)
-    return h, tuple(out)
 
 
 def pos_narrow_sweep(
     lo: int, hi: int, torsion_ns: tuple[int, ...] = (2, 4)
 ) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """Rows (delta, omega, h_narrow, narrow torsion counts) for fundamental
-    lo <= delta <= hi, delta > 0."""
+    lo <= delta <= hi, delta > 0; counts are for n = 2^a or 3*2^a."""
     rows = []
     for delta in arith.fundamental_discriminants(hi, 1):
         if delta < lo:
             continue
         ctx = _PosNarrow(delta)
-        g = ctx.group()
-        counts = tuple(g.torsion_count(n) for n in torsion_ns)
-        rows.append((delta, arith.omega(delta), g.n, counts))
+        reps = ctx.reps()
+        sq = {i: ctx._class_of(_square(*f, delta)) for i, f in enumerate(reps)}
+        counts = _torsion_counts(sq, ctx.e, torsion_ns)
+        rows.append((delta, arith.omega(delta), ctx.n, counts))
     return rows
 
 

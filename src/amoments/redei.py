@@ -37,12 +37,12 @@ def build_redei(m: int) -> RedeiSystem:
     Off-diagonal entry (i, j) is the Frobenius value of the j-th prime
     discriminant character at p_i; diagonals make every row sum to zero.
     """
-    if m in (0, 1) or not arith.is_squarefree(m):
+    if m in (0, 1) or (fac := arith.factor(m)).mobius == 0:
         raise ValueError("need a square-free integer distinct from 0 and 1")
-    delta = arith.discriminant(m)
-    rho = arith.prime_discriminant_decompose(delta)
-    primes = tuple(sorted(pd.conductor for pd in rho))
-    rho = tuple(sorted(rho, key=lambda pd: pd.conductor))
+    delta = m if m % 4 == 1 else 4 * m
+    # conductor 2 first, then the odd primes in increasing order
+    rho = tuple(arith._split_prime_discriminants(delta, fac))
+    primes = tuple(pd.conductor for pd in rho)
     r = len(primes)
     bits = []
     for i in range(r):

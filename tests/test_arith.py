@@ -44,6 +44,21 @@ def test_factor_semiprime_beyond_trial_bound():
     assert f.factors == ((p, 1), (q, 1))
 
 
+def test_factored_int_checks_direct_construction():
+    with pytest.raises(ValueError):
+        arith.FactoredInt(15, 1, ((15, 1),))
+    with pytest.raises(ValueError):
+        arith.FactoredInt(-1_000_003 * 1_000_033, -1, ((1_000_003 * 1_000_033, 1),))
+    with pytest.raises(ValueError):
+        arith.FactoredInt(12, 1, ((3, 1), (2, 2)))
+    with pytest.raises(ValueError):
+        arith.FactoredInt(13, 1, ((2, 2), (3, 1)))
+    # what factor() builds unchecked passes the checks and compares equal
+    for n in (1, -1, -56, 360, 10 ** 9 + 7, 1_000_003 * 1_000_033, -(2 ** 62) - 1):
+        f = arith.factor(n)
+        assert arith.FactoredInt(f.value, f.sign, f.factors) == f
+
+
 def test_derived_arithmetic_functions():
     f = arith.factor(360)  # 2^3 * 3^2 * 5
     assert f.omega == 3 and f.big_omega == 6 and f.mobius == 0

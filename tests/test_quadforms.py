@@ -181,28 +181,71 @@ def test_rk4_property():
     assert class_group(-84).rk4 == 0
 
 
+def _sweep_expected(lo, hi, ns, sign=-1):
+    """Sweep rows built from class_group, one discriminant at a time."""
+    rows = []
+    for delta in arith.fundamental_discriminants(hi, sign):
+        if abs(delta) < lo:
+            continue
+        g = class_group(delta, narrow=True)
+        rows.append((abs(delta), arith.omega(delta), g.h, tuple(g.torsion(n) for n in ns)))
+    return rows
+
+
 def test_neg_torsion_sweep_consistency():
-    rows = neg_torsion_sweep(3, 400, (2, 3, 4))
-    seen = {}
-    for absd, om, h, counts in rows:
-        seen[-absd] = (om, h, counts)
-    expected_discs = list(arith.fundamental_discriminants(400, -1))
-    assert sorted(seen) == sorted(expected_discs)
-    for delta in expected_discs:
-        g = class_group(delta)
-        om, h, counts = seen[delta]
-        assert om == arith.omega(delta)
-        assert h == g.h
-        assert counts == (g.torsion(2), g.torsion(3), g.torsion(4))
+    ns = (2, 3, 4, 8, 6, 12, 1)
+    assert not arith.is_fundamental_discriminant(-1000)
+    assert not arith.is_fundamental_discriminant(-3300)
+    # the whole range, chunk-shaped ranges: lo inside the range, lo = hi
+    # (fundamental and not), lo not fundamental, lo below 3, an empty range
+    for lo, hi in ((3, 400), (1501, 2300), (3299, 3299), (3896, 3896), (3300, 3300), (1000, 1999),
+                   (1, 40), (10, 9)):
+        assert neg_torsion_sweep(lo, hi, ns) == _sweep_expected(lo, hi, ns), (lo, hi)
+    assert neg_torsion_sweep(3300, 3300, ns) == neg_torsion_sweep(1, 2, ns) == neg_torsion_sweep(0, -5, ns) == []
 
 
 def test_pos_narrow_sweep_consistency():
-    rows = pos_narrow_sweep(3, 300, (2, 4))
-    for delta, om, h, counts in rows:
-        g = class_group(delta, narrow=True)
-        assert h == g.h
-        assert counts == (g.torsion(2), g.torsion(4))
-        assert om == arith.omega(delta)
+    for lo, hi, ns in ((3, 300, (2, 4)), (3, 1500, (3,)), (3, 1500, (2, 4, 8)), (700, 1500, (3,))):
+        assert pos_narrow_sweep(lo, hi, ns) == _sweep_expected(lo, hi, ns, sign=1), (lo, ns)
+
+
+def test_neg_torsion_sweep_chunks_concatenate():
+    ns = (2, 3, 4, 2)
+    whole = neg_torsion_sweep(3, 6000, ns)
+    for chunk in (1, 97, 1000, 2500):
+        parts = []
+        for lo, hi in arith.split_ranges(3, 6000, chunk, (4000,)):
+            parts += neg_torsion_sweep(lo, hi, ns)
+        assert parts == whole, chunk
+
+
+def test_neg_torsion_sweep_rejects_other_orders():
+    with pytest.raises(ValueError):
+        neg_torsion_sweep(3, 100, (2, 5))
+
+
+def test_square_matches_composition():
+    for delta in (-3, -4, -23, -56, -84, -231, -479, -3299, -3896, -9959, -10007, -88520, -99995):
+        assert arith.is_fundamental_discriminant(delta)
+        for f in reduced_forms_neg(delta):
+            assert _reduce_neg(*quadforms._square(*f, delta)) == _reduce_neg(*_compose(f, f, delta)), (delta, f)
+    for delta in (5, 12, 40, 60, 65, 229, 577, 1705):
+        ctx = quadforms._PosNarrow(delta)
+        for f in quadforms.reduced_forms_pos(delta):
+            assert ctx._class_of(quadforms._square(*f, delta)) == ctx._class_of(_compose(f, f, delta)), (delta, f)
+
+
+def test_group_power_equals_repeated_op():
+    for delta in (-3299, -3896, -231, 229, 1705):
+        if delta < 0:
+            _, g = quadforms._group_neg(delta)
+        else:
+            g = quadforms._PosNarrow(delta).group()
+        for x in range(g.n):
+            acc = g.e
+            for k in range(10):
+                assert g.power(x, k) == acc, (delta, x, k)
+                acc = g.op(acc, x)
 
 
 def test_cache_roundtrip(tmp_path):
