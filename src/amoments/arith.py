@@ -163,16 +163,6 @@ class FactoredInt:
                 out *= p
         return out
 
-    @property
-    def largest_prime(self) -> int:
-        # convention: 1 for +-1
-        return self.factors[-1][0] if self.factors else 1
-
-    @property
-    def smallest_prime(self) -> float:
-        # convention: +infinity for +-1
-        return self.factors[0][0] if self.factors else math.inf
-
     def divisors(self) -> list[int]:
         """Positive divisors of |value|, unsorted."""
         divs = [1]
@@ -449,28 +439,6 @@ def squarefree_sieve(limit: int) -> bytearray:
     return t
 
 
-def fundamental_discriminants(X: int, sign: int) -> Iterator[int]:
-    """Fundamental discriminants d of the given sign with |d| <= X, by |d|.
-
-    sign is +1 or -1; the unit discriminant 1 is excluded.
-    """
-    if X < 3:
-        raise ValueError("need X >= 3")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    sf = squarefree_sieve(X)
-    for n in range(3, X + 1):
-        d = sign * n
-        if n % 4 == (1 if sign == 1 else 3):
-            if sf[n]:
-                yield d
-        elif n % 4 == 0:
-            m = n // 4
-            mm = m % 4 if sign == 1 else (-m) % 4
-            if mm in (2, 3) and sf[m]:
-                yield d
-
-
 _SPF_CACHE: dict[int, "array"] = {}
 
 
@@ -501,6 +469,30 @@ def factor_by_spf(n: int, spf) -> list[tuple[int, int]]:
             e += 1
         out.append((p, e))
     return out
+
+
+def fundamental_discriminants(lo: int, hi: int, sign: int) -> Iterator[tuple[int, int]]:
+    """(delta, omega(delta)) for the fundamental discriminants delta of the
+    given sign with max(lo, 3) <= |delta| <= hi, ordered by |delta|.
+
+    sign is +1 or -1; the unit discriminant 1 is excluded.  Only [lo, hi] is
+    factored, from the smallest-prime-factor table of hi, so chunks of a
+    sweep share the table and scan nothing twice.  |delta| = n is fundamental
+    when delta = 1 mod 4 and n is square-free, or when n = 4m with
+    sign * m = 2 or 3 mod 4 and m square-free; such an m is odd or twice odd,
+    so only the odd primes of n need exponent 1.
+    """
+    if hi < 3:
+        raise ValueError("need hi >= 3")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    spf = spf_cached(hi)
+    odd = 2 - sign  # n mod 4 of an odd |delta| with delta = 1 mod 4
+    for n in range(max(lo, 3), hi + 1):
+        if n % 4 == odd or (n % 4 == 0 and sign * (n // 4) % 4 in (2, 3)):
+            fac = factor_by_spf(n, spf)
+            if all(e == 1 for p, e in fac if p != 2):
+                yield sign * n, len(fac)
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

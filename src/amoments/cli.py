@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -213,12 +214,13 @@ def _w_descent(r1, r2, r3, lo, hi, k):
 
 def _w_classgroup(lo, hi, narrow):
     rows = []
-    for absd in range(max(lo, 3), hi + 1):
-        for delta in (absd, -absd):
-            if not arith.is_fundamental_discriminant(delta):
-                continue
-            g = quadforms.class_group(delta, narrow=narrow)
-            rows.append([delta, int(narrow), list(g.invariants)])
+    for delta, _ in heapq.merge(
+        arith.fundamental_discriminants(lo, hi, 1),
+        arith.fundamental_discriminants(lo, hi, -1),
+        key=lambda pair: (abs(pair[0]), -pair[0]),  # by |delta|, delta > 0 first
+    ):
+        g = quadforms.class_group(delta, narrow=narrow)
+        rows.append([delta, int(narrow), list(g.invariants)])
     return rows
 
 
@@ -598,8 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     de.set_defaults(func=cmd_density)
 
     cg = sub.add_parser("classgroup", help="oracle class groups")
-    cg.add_argument("--delta", type=int, default=None)
-    cg.add_argument("--dmax", type=int, default=None)
+    what = cg.add_mutually_exclusive_group(required=True)
+    what.add_argument("--delta", type=int, help="one discriminant")
+    what.add_argument("--dmax", type=int, help="every fundamental discriminant with |delta| <= DMAX")
     cg.add_argument("--narrow", action="store_true")
     cg.add_argument("--cache", default=None)
     cg.set_defaults(func=cmd_classgroup)

@@ -105,6 +105,8 @@ class Poly:
 
 def poly_from_string(text: str, nvars: int = 1) -> Poly:
     """Parse an integer polynomial in t (univariate) or t1..t3."""
+    if nvars < 1:
+        raise ValueError("need nvars >= 1")
     import sympy
 
     xs = sympy.symbols(f"t1:{nvars + 1}")
@@ -197,6 +199,8 @@ def check_lemma_2_10(P: Poly, pmax: int, B: int, theta: float = 0.2) -> dict:
     primes up to pmax, and the largest box deviation |count - h(a,eps)(2B)^n|
     normalized by B^(n - theta) over a <= B^theta.
     """
+    if B < 1:
+        raise ValueError("need a box size B >= 1")
     if not P.is_separable():
         raise ValueError("polynomial must be separable of degree >= 1")
     n = P.nvars

@@ -44,7 +44,10 @@ def weight_by_name(name: str) -> Weight:
     if name == "tau":
         return Weight("tau", Fraction(2))
     if name.startswith("kappa:"):
-        kappa = Fraction(name.split(":", 1)[1])
+        try:
+            kappa = Fraction(name.split(":", 1)[1])
+        except ZeroDivisionError:
+            raise ValueError(f"weight {name!r} divides by zero") from None
         if kappa < 0:
             raise ValueError("weight base must be nonnegative")
         return Weight(name, kappa)
@@ -699,12 +702,10 @@ def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
             exact += c3 * c2k
             majorant += c3 * 2 ** om * 2 ** (k * rk4)
     else:
-        for delta in arith.fundamental_discriminants(hi, 1):
-            if delta < lo:
-                continue
+        for delta, om in arith.fundamental_discriminants(lo, hi, 1):
             g = quadforms.class_group(delta)
             exact += g.torsion(n)
-            majorant += g.torsion(3) * 2 ** arith.omega(delta) * 2 ** (k * g.rk4)
+            majorant += g.torsion(3) * 2 ** om * 2 ** (k * g.rk4)
     return exact, majorant
 
 
@@ -713,6 +714,8 @@ def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tu
     to max(X_list) in ranges of at most `chunk`, cut at every X."""
     if max(X_list) > 10 ** 6 or min(X_list) < 2:
         raise ValueError("oracle supports 2 <= X <= 10^6")
+    if k < 0:
+        raise ValueError("need k >= 0")
     return [(lo, hi, k, sign) for lo, hi in arith.split_ranges(3, max(X_list), chunk, X_list)]
 
 
@@ -834,6 +837,8 @@ def weighted_moment_profile(
     """Weighted moments with the power-of-average twist statistic for
     several exponents in one sweep, normalized by X/log X times the Euler
     factor product: class-group twists, or with a curve its selmer twists."""
+    if X < 2:
+        raise ValueError("need X >= 2")
     totals = {k: Fraction(0) for k in ks}
     coprime_to = 1 if curve is None else 2 * curve.omega
     for m, primes in odd_squarefree_with_primes(X, coprime_to):

@@ -142,9 +142,7 @@ def reduced_forms_neg(D: int) -> list[Form]:
     for b in range(D & 1, blim + 1, 2):
         N = (b * b - D) // 4
         for a in _divisors_trial(N):
-            if a < b or a == 0 or a * a > N:
-                continue
-            if a < 1:
+            if a < b or a * a > N:
                 continue
             c = N // a
             forms.append((a, b, c))
@@ -435,15 +433,10 @@ def neg_torsion_sweep(
     lo = max(lo_abs, 3)
     if hi_abs < lo:
         return []
-    spf = arith.spf_cached(hi_abs)
+    omegas = {-delta: om for delta, om in arith.fundamental_discriminants(lo, hi_abs, -1)}
     buckets: list[list[int] | None] = [None] * (hi_abs - lo + 1)
-    omegas = {}
-    for absd in range(lo, hi_abs + 1):
-        if absd % 4 == 3 or (absd % 4 == 0 and (-(absd // 4)) % 4 in (2, 3)):
-            fac = arith.factor_by_spf(absd, spf)
-            if all(e == 1 for p, e in fac if p != 2):
-                buckets[absd - lo] = []
-                omegas[absd] = len(fac)
+    for absd in omegas:
+        buckets[absd - lo] = []
     for a in range(1, math.isqrt(hi_abs // 3) + 1):
         step = 4 * a
         for b in range(a + 1):
@@ -477,14 +470,12 @@ def pos_narrow_sweep(
     """Rows (delta, omega, h_narrow, narrow torsion counts) for fundamental
     lo <= delta <= hi, delta > 0; counts are for n = 2^a or 3*2^a."""
     rows = []
-    for delta in arith.fundamental_discriminants(hi, 1):
-        if delta < lo:
-            continue
+    for delta, om in arith.fundamental_discriminants(lo, hi, 1):
         ctx = _PosNarrow(delta)
         reps = ctx.reps()
         sq = {i: ctx._class_of(_square(*f, delta)) for i, f in enumerate(reps)}
         counts = _torsion_counts(sq, ctx.e, torsion_ns)
-        rows.append((delta, arith.omega(delta), ctx.n, counts))
+        rows.append((delta, om, ctx.n, counts))
     return rows
 
 

@@ -33,7 +33,7 @@ class CurveData:
         if len(set(rs)) != 3:
             raise ValueError("roots must be distinct")
         g = math.gcd(math.gcd(self.r1, self.r2), self.r3)
-        if g and not arith.is_squarefree(max(g, 1)) and g != 0:
+        if g and not arith.is_squarefree(g):
             raise ValueError("gcd of the roots must be square-free")
 
     def delta(self, i: int, j: int) -> int:

@@ -73,7 +73,7 @@ def test_criterion_01_redei_stevenhagen_agreement(tmp_path):
         checked = int(
             next(ln for ln in text.splitlines() if ln.startswith("redei_checked_neg")).split(",")[2]
         )
-        assert checked == sum(1 for _ in arith.fundamental_discriminants(100000, -1))
+        assert checked == sum(1 for _ in arith.fundamental_discriminants(3, 100000, -1))
 
 
 def test_criterion_02_detector_kernel_identity():

@@ -165,9 +165,7 @@ def test_prime_discriminant_decompose():
 
 def test_prime_discriminant_product_and_characters():
     odd_primes = [p for p in arith.small_primes() if 2 < p <= 100]
-    for delta in list(arith.fundamental_discriminants(150, 1)) + list(
-        arith.fundamental_discriminants(150, -1)
-    ):
+    for delta, _ in [*arith.fundamental_discriminants(3, 150, 1), *arith.fundamental_discriminants(3, 150, -1)]:
         parts = arith.prime_discriminant_decompose(delta)
         assert math.prod(pd.value for pd in parts) == delta
         for p in odd_primes:
@@ -270,21 +268,32 @@ def test_sqf_decompose_unique_by_exhaustion():
 
 
 def test_fundamental_discriminants():
-    neg = list(arith.fundamental_discriminants(20, -1))
-    assert neg == [-3, -4, -7, -8, -11, -15, -19, -20]
-    pos = list(arith.fundamental_discriminants(20, 1))
-    assert pos == [5, 8, 12, 13, 17]
-    assert list(arith.fundamental_discriminants(3, 1)) == []
-    with pytest.raises(ValueError):
-        list(arith.fundamental_discriminants(2, 1))
+    assert [d for d, _ in arith.fundamental_discriminants(3, 20, -1)] == [-3, -4, -7, -8, -11, -15, -19, -20]
+    assert [d for d, _ in arith.fundamental_discriminants(1, 20, 1)] == [5, 8, 12, 13, 17]
+    assert list(arith.fundamental_discriminants(3, 3, 1)) == []
+    for bad in ((3, 2, 1), (1, 20, 0)):
+        with pytest.raises(ValueError):
+            list(arith.fundamental_discriminants(*bad))
+    # completeness against the direct predicate, and omega against factor()
     for sign in (1, -1):
-        for d in arith.fundamental_discriminants(400, sign):
-            assert arith.is_fundamental_discriminant(d)
-    # completeness against the direct predicate
-    direct = [d for d in range(-400, 0) if arith.is_fundamental_discriminant(d)]
-    assert sorted(arith.fundamental_discriminants(400, -1), reverse=True) == sorted(
-        direct, reverse=True
-    )
+        pairs = list(arith.fundamental_discriminants(3, 3000, sign))
+        direct = [sign * n for n in range(1, 3001) if arith.is_fundamental_discriminant(sign * n)]
+        assert [d for d, _ in pairs] == direct
+        assert [om for _, om in pairs] == [arith.omega(d) for d in direct]
+
+
+def test_fundamental_discriminants_chunks_concatenate():
+    for sign in (1, -1):
+        whole = list(arith.fundamental_discriminants(3, 6000, sign))
+        for chunk in (1, 97, 1000, 2500):
+            parts = []
+            for lo, hi in arith.split_ranges(3, 6000, chunk, (4000,)):
+                parts += arith.fundamental_discriminants(lo, hi, sign)
+            assert parts == whole, (sign, chunk)
+        # lo below 3, lo inside the range, lo = hi (fundamental and not), an empty range
+        for lo, hi in ((1, 40), (1501, 2300), (3299, 3299), (3300, 3300), (10, 9)):
+            expected = [(d, om) for d, om in whole if lo <= abs(d) <= hi]
+            assert list(arith.fundamental_discriminants(lo, hi, sign)) == expected, (sign, lo, hi)
 
 
 def test_ext_gcd_and_crt():

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +146,23 @@ def test_classgroup_cache(tmp_path, capsys):
     assert "invariants=3,h=3" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--delta", "-23", "--dmax", "60"]])
+def test_classgroup_takes_exactly_one_of_delta_and_dmax(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classgroup", *flags])
+    assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [ln for ln in block.splitlines() if ln.startswith("amoments ")]
+    assert len(examples) == len(block.strip().splitlines())
+    parser = cli.build_parser()
+    for ln in examples:
+        assert callable(parser.parse_args(shlex.split(ln)[1:]).func), ln
+
+
 def test_h3level_cli(capsys):
     code, out = run_cli(
         ["--threads", "1", "density", "h3level", "--x", "4000", "--m", "1"], capsys
@@ -283,6 +302,13 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
         ["density", "h3level", "--x", "2000", "--m", "1", "--letters", "5:1"],
         ["charsum", "--x", str(10 ** 8), "--z", "10"],
         ["experiment", "t11", "--poly", "t^4+1", "--b-list", "10"],
+        ["moment", "class", "--x", "1"],
+        ["moment", "selmer", "--x", "1"],
+        ["density", "lemma210", "--box", "0"],
+        ["density", "lemma210", "--box", "-1"],
+        ["density", "poly", "--nvars", "0"],
+        ["experiment", "t12", "--x-list", "100", "--k", "-1"],
+        ["identity", "first-moment", "--x", "20", "--weight", "kappa:1/0"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):

@@ -257,7 +257,7 @@ def test_theorem12_small_against_direct_tabulation():
     maj = next(r for r in reports if r.experiment == "t12-majorant")
     direct = 0
     majorant = 0
-    for delta in arith.fundamental_discriminants(100, -1):
+    for delta, _ in arith.fundamental_discriminants(3, 100, -1):
         g = quadforms.class_group(delta)
         direct += g.torsion(6)
         majorant += g.torsion(3) * 2 ** arith.omega(delta) * 2 ** g.rk4
@@ -280,7 +280,7 @@ def test_theorem12_positive_sign():
     exact = next(r for r in reports if r.experiment == "t12-exact")
     direct = sum(
         quadforms.class_group(d).torsion(6)
-        for d in arith.fundamental_discriminants(150, 1)
+        for d, _ in arith.fundamental_discriminants(3, 150, 1)
     )
     assert exact.value == direct
 

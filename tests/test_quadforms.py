@@ -100,7 +100,7 @@ def test_fundamental_unit_norm():
 def test_unit_norm_against_pell_small():
     # norm is -1 iff x^2 - delta*y^2 = -4 is soluble; minimal solutions for
     # delta <= 100 all have y <= 1200
-    for delta in arith.fundamental_discriminants(100, 1):
+    for delta, _ in arith.fundamental_discriminants(3, 100, 1):
         soluble = any(
             math.isqrt(delta * y * y - 4) ** 2 == delta * y * y - 4
             for y in range(1, 2001)
@@ -109,7 +109,7 @@ def test_unit_norm_against_pell_small():
 
 
 def test_unit_norm_structural_criteria():
-    for delta in arith.fundamental_discriminants(2000, 1):
+    for delta, _ in arith.fundamental_discriminants(3, 2000, 1):
         norm = fundamental_unit_norm(delta)
         if any(p % 4 == 3 for p, _ in arith.factor(delta).factors):
             # -4 is a non-square mod such a prime, so norm -1 is impossible
@@ -122,7 +122,7 @@ def test_unit_norm_structural_criteria():
 
 
 def test_narrow_vs_ordinary():
-    for delta in arith.fundamental_discriminants(500, 1):
+    for delta, _ in arith.fundamental_discriminants(3, 500, 1):
         narrow = class_group(delta, narrow=True)
         ordinary = class_group(delta, narrow=False)
         if fundamental_unit_norm(delta) == -1:
@@ -147,7 +147,7 @@ def test_known_real_class_numbers():
 
 
 def test_genus_theory_small():
-    for delta in arith.fundamental_discriminants(2000, -1):
+    for delta, _ in arith.fundamental_discriminants(3, 2000, -1):
         g = class_group(delta)
         assert g.torsion(2) == 2 ** (arith.omega(delta) - 1), delta
 
@@ -155,7 +155,7 @@ def test_genus_theory_small():
 def test_analytic_class_number_formula_sample():
     # Dirichlet: h = w/(2|D|) * |sum a*chi(a)| for D < 0
     rng = random.Random(3)
-    discs = [d for d in arith.fundamental_discriminants(20000, -1)]
+    discs = [d for d, _ in arith.fundamental_discriminants(3, 20000, -1)]
     for delta in rng.sample(discs, 100):
         w = 6 if delta == -3 else 4 if delta == -4 else 2
         s = sum(a * arith.kronecker(delta, a) for a in range(1, abs(delta)))
@@ -165,9 +165,7 @@ def test_analytic_class_number_formula_sample():
 
 
 def test_monotone_two_power_ratio_chain():
-    for delta in list(arith.fundamental_discriminants(3000, -1)) + list(
-        arith.fundamental_discriminants(600, 1)
-    ):
+    for delta, _ in [*arith.fundamental_discriminants(3, 3000, -1), *arith.fundamental_discriminants(3, 600, 1)]:
         g = class_group(delta)
         hs = [g.torsion(2 ** t) for t in range(5)]
         for t in range(1, 4):
@@ -184,11 +182,12 @@ def test_rk4_property():
 def _sweep_expected(lo, hi, ns, sign=-1):
     """Sweep rows built from class_group, one discriminant at a time."""
     rows = []
-    for delta in arith.fundamental_discriminants(hi, sign):
-        if abs(delta) < lo:
+    for absd in range(max(lo, 1), hi + 1):
+        delta = sign * absd
+        if not arith.is_fundamental_discriminant(delta):
             continue
         g = class_group(delta, narrow=True)
-        rows.append((abs(delta), arith.omega(delta), g.h, tuple(g.torsion(n) for n in ns)))
+        rows.append((absd, arith.omega(delta), g.h, tuple(g.torsion(n) for n in ns)))
     return rows
 
 
@@ -216,6 +215,16 @@ def test_neg_torsion_sweep_chunks_concatenate():
         parts = []
         for lo, hi in arith.split_ranges(3, 6000, chunk, (4000,)):
             parts += neg_torsion_sweep(lo, hi, ns)
+        assert parts == whole, chunk
+
+
+def test_pos_narrow_sweep_chunks_concatenate():
+    ns = (2, 3, 4)
+    whole = pos_narrow_sweep(3, 3000, ns)
+    for chunk in (1, 97, 1000, 2500):
+        parts = []
+        for lo, hi in arith.split_ranges(3, 3000, chunk, (2000,)):
+            parts += pos_narrow_sweep(lo, hi, ns)
         assert parts == whole, chunk
 
 

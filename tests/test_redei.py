@@ -38,16 +38,14 @@ def test_rk4_narrow_examples():
 
 
 def test_stevenhagen_agreement_small():
-    for delta in list(arith.fundamental_discriminants(2000, -1)) + list(
-        arith.fundamental_discriminants(800, 1)
-    ):
+    for delta, _ in [*arith.fundamental_discriminants(3, 2000, -1), *arith.fundamental_discriminants(3, 800, 1)]:
         m = arith.field_label(delta)
         g = class_group(delta, narrow=True)
         assert redei.rk4_narrow(m) == g.rk4, delta
 
 
 def test_rk4_ordinary_at_most_narrow():
-    for delta in arith.fundamental_discriminants(800, 1):
+    for delta, _ in arith.fundamental_discriminants(3, 800, 1):
         narrow = class_group(delta, narrow=True)
         ordinary = class_group(delta, narrow=False)
         assert ordinary.rk4 <= narrow.rk4 + 1  # quotient can only drop dims by one
