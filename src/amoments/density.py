@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import arith
+from . import arith, quadforms
 
 ENUM_CAP = 10 ** 6
 MAX_VARS = 3
@@ -368,6 +368,8 @@ def h3_level_tasks(
         raise ValueError("sign must be +1 or -1")
     if m < 1:
         raise ValueError("need m >= 1")
+    if X - 1 > quadforms.DISC_BOUND:
+        raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
     letters = dict(letters or {})
     qs = {p for p, _ in arith.factor(m).factors if p != 2} if m > 1 else set()
     if any(q not in qs or e not in (1, -1) for q, e in letters.items()):
@@ -380,21 +382,11 @@ def h3_level_chunk(lo: int, hi: int, m: int, letters, sign: int) -> tuple[int, i
     """(sum of h_3 - 1, field count) over the fields of the given sign with
     lo <= |disc| <= hi whose label is divisible by m and whose residue
     symbols of (label / m) match the (q, e) letter pairs."""
-    from . import quadforms
-
-    if sign == -1:
-        labels = [
-            (-absd if absd % 4 == 3 else -(absd // 4), counts[0])
-            for absd, _, _, counts in quadforms.neg_torsion_sweep(lo, hi, (3,))
-        ]
-    else:
-        labels = [
-            (d if d % 4 == 1 else d // 4, counts[0])
-            for d, _, _, counts in quadforms.pos_narrow_sweep(lo, hi, (3,))
-        ]
     total = 0
     count = 0
-    for n, h3 in labels:
+    for absd, _, _, _, (h3,) in quadforms.torsion_sweep(lo, hi, (3,), sign):
+        d = sign * absd
+        n = d if d % 4 == 1 else d // 4
         if n % m == 0 and all(_symbol_mod(n // m, q) == e for q, e in letters):
             total += h3 - 1
             count += 1

@@ -689,23 +689,14 @@ CSV_HEADER = "experiment,setting,X,k,sign,weight,value,normalized"
 
 def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
     """(exact torsion sum, majorant sum) over fundamental discriminants of
-    the given sign with lo <= |delta| <= hi."""
-    n = 3 * 2 ** k
-    ns = (2, 3, 4, 2 ** k)
+    the given sign with lo <= |delta| <= hi, for the ordinary class group:
+    #Cl[3 * 2^k] against #Cl[3] * 2^omega * 2^(k * rk4)."""
     exact = 0
     majorant = 0
-    if sign == -1:
-        rows = quadforms.neg_torsion_sweep(lo, hi, ns)
-        for _, om, _, counts in rows:
-            c2, c3, c4, c2k = counts
-            rk4 = (c4 // c2).bit_length() - 1
-            exact += c3 * c2k
-            majorant += c3 * 2 ** om * 2 ** (k * rk4)
-    else:
-        for delta, om in arith.fundamental_discriminants(lo, hi, 1):
-            g = quadforms.class_group(delta)
-            exact += g.torsion(n)
-            majorant += g.torsion(3) * 2 ** om * 2 ** (k * g.rk4)
+    for _, om, _, _, (c2, c3, c4, c2k) in quadforms.torsion_sweep(lo, hi, (2, 3, 4, 2 ** k), sign):
+        rk4 = (c4 // c2).bit_length() - 1
+        exact += c3 * c2k
+        majorant += c3 * 2 ** om * 2 ** (k * rk4)
     return exact, majorant
 
 

@@ -3,9 +3,11 @@ class-group torsion.
 
 Imaginary discriminants use the bijection between reduced forms and classes;
 real discriminants use cycles of reduced forms under the reduction operator
-(narrow classes), with the ordinary group obtained as the quotient by the
-class of the negated principal form.  Group structure is read off from
-torsion counts, which a desk-scale class number makes cheap.
+(narrow classes), with the ordinary group the quotient by the class of the
+negated principal form.  `class_group` builds that quotient explicitly and
+reads invariants off torsion counts; it is the reference for the |D|-range
+sweeps (`torsion_sweep`), which read narrow and ordinary torsion counts off
+one squaring map per discriminant.
 """
 
 from __future__ import annotations
@@ -241,12 +243,14 @@ class _Group:
         return tuple(out)
 
 
-def _torsion_counts(sq: dict, e, ns: tuple[int, ...]) -> tuple[int, ...]:
-    """#G[n] for each n = 2^j or 3 * 2^j, for the finite abelian group G
-    given by its squaring map sq (element -> its square).
+def _torsion_counts(sq: dict, K: tuple, ns: tuple[int, ...]) -> tuple[int, ...]:
+    """#(G/K)[n] for each n = 2^j or 3 * 2^j, for the finite abelian group G
+    given by its squaring map sq (element -> its square) and a subgroup K of
+    order 1 or 2, given as a tuple of its distinct elements.
 
-    x is 2^j-torsion when j squarings send it to e, x^3 = e exactly when
-    x^4 = x, and #G[3 * 2^j] = #G[3] * #G[2^j].
+    The cosets xK with (xK)^(2^j) = K are the x with x^(2^j) in K, |K| of
+    them per coset.  K has no element of order 3, so #(G/K)[3] = #G[3], and
+    x^3 = e exactly when x^4 = x.  #(G/K)[3 * 2^j] = #(G/K)[3] * #(G/K)[2^j].
     """
     vs = []
     for n in ns:
@@ -260,7 +264,7 @@ def _torsion_counts(sq: dict, e, ns: tuple[int, ...]) -> tuple[int, ...]:
     c3 = 1
     for j in range(1, max([*vs, 2 if need3 else 0]) + 1):
         images = [sq[x] for x in images]
-        c2.append(images.count(e))
+        c2.append(sum(map(images.count, K)) // len(K))
         if j == 2 and need3:
             c3 = sum(1 for x, y in zip(elements, images) if x == y)
     return tuple(c2[v] * (c3 if n >> v == 3 else 1) for n, v in zip(ns, vs))
@@ -413,15 +417,24 @@ def fundamental_unit_norm(delta: int) -> int:
 _KEY = 1 << 16
 
 
+def torsion_sweep(lo_abs: int, hi_abs: int, torsion_ns: tuple[int, ...], sign: int) -> list[tuple]:
+    """Rows (|delta|, omega(delta), narrow class number h+, narrow counts
+    #Cl+[n], ordinary counts #Cl[n]) for the fundamental delta of the given
+    sign with lo_abs <= |delta| <= hi_abs, sorted by |delta|, with counts for
+    each n = 2^a or 3*2^a in torsion_ns.  They come from neg_torsion_sweep or
+    pos_narrow_sweep, whichever the module binds when called."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    sweep = neg_torsion_sweep if sign < 0 else pos_narrow_sweep
+    return sweep(lo_abs, hi_abs, torsion_ns)
+
+
 def neg_torsion_sweep(
     lo_abs: int, hi_abs: int, torsion_ns: tuple[int, ...] = (2, 3, 4)
-) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Per-discriminant data for fundamental delta < 0 with
-    lo_abs <= |delta| <= hi_abs.
-
-    Returns rows (|delta|, omega(delta), h, counts aligned with torsion_ns),
-    sorted by |delta|.  Counts are #Cl[n] for the (ordinary = narrow) group,
-    for n = 2^a or 3*2^a.
+) -> list[tuple]:
+    """torsion_sweep rows for fundamental delta < 0 with lo_abs <= |delta| <= hi_abs,
+    sorted by |delta|.  The ordinary and narrow groups agree, so the last two
+    slots hold the same counts.
 
     The reduced forms of the whole range are tabulated in one pass over
     (a, b, c) with 0 <= b <= a <= c and lo_abs <= 4ac - b^2 <= hi_abs, bucketed
@@ -459,23 +472,28 @@ def neg_torsion_sweep(
             if 0 < b < a < c:
                 sq[key - 2 * b] = s - 2 * B if 0 < abs(B) < A < C else s
         buckets[absd - lo] = None  # free each bucket once its discriminant is done
-        counts = _torsion_counts(sq, _KEY + (absd & 1), torsion_ns)
-        rows.append((absd, om, len(sq), counts))
+        counts = _torsion_counts(sq, (_KEY + (absd & 1),), torsion_ns)
+        rows.append((absd, om, len(sq), counts, counts))
     return rows
 
 
-def pos_narrow_sweep(
-    lo: int, hi: int, torsion_ns: tuple[int, ...] = (2, 4)
-) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Rows (delta, omega, h_narrow, narrow torsion counts) for fundamental
-    lo <= delta <= hi, delta > 0; counts are for n = 2^a or 3*2^a."""
+def pos_narrow_sweep(lo: int, hi: int, torsion_ns: tuple[int, ...] = (2, 4)) -> list[tuple]:
+    """torsion_sweep rows for fundamental delta > 0 with lo <= delta <= hi, sorted by
+    delta.
+
+    Both count tuples come from the squaring map of the narrow group Cl+.
+    The ordinary group Cl is Cl+ / K for K = {e, s}, s the class of the
+    negated principal form (s = e when the fundamental unit has norm -1).
+    """
     rows = []
     for delta, om in arith.fundamental_discriminants(lo, hi, 1):
         ctx = _PosNarrow(delta)
         reps = ctx.reps()
         sq = {i: ctx._class_of(_square(*f, delta)) for i, f in enumerate(reps)}
-        counts = _torsion_counts(sq, ctx.e, torsion_ns)
-        rows.append((delta, om, ctx.n, counts))
+        narrow = _torsion_counts(sq, (ctx.e,), torsion_ns)
+        s = ctx.negated_principal
+        counts = narrow if s == ctx.e else _torsion_counts(sq, (ctx.e, s), torsion_ns)
+        rows.append((delta, om, ctx.n, narrow, counts))
     return rows
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from amoments import cli, density, moments, selmer
+from amoments import cli, density, moments, quadforms, selmer
 
 
 def run_cli(argv, capsys):
@@ -309,6 +309,10 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
         ["density", "poly", "--nvars", "0"],
         ["experiment", "t12", "--x-list", "100", "--k", "-1"],
         ["identity", "first-moment", "--x", "20", "--weight", "kappa:1/0"],
+        ["verify", "redei", "--dmax", str(10 ** 7 + 1)],
+        ["verify", "redei", "--dmax", "100", "--sign", "both", "--dmax-pos", str(10 ** 7 + 1)],
+        ["classgroup", "--dmax", str(10 ** 7 + 1)],
+        ["density", "h3level", "--x", str(10 ** 7 + 2)],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -348,6 +352,10 @@ AGAINST_LIBRARY = {
     "t12": (
         ["--chunk", "100", "experiment", "t12", "--x-list", "200,400", "--sign", "neg"],
         lambda: _report_csv(moments.theorem12_experiment([200, 400], 1, -1)),
+    ),
+    "t12-pos": (
+        ["--chunk", "500", "experiment", "t12", "--x-list", "1000,1500", "--sign", "pos", "--k", "2"],
+        lambda: _report_csv(moments.theorem12_experiment([1000, 1500], 2, 1)),
     ),
     "t11": (
         ["--chunk", "20", "experiment", "t11", "--poly", "t^2+1", "--curve", "0,1,2", "--b-list", "20,40"],
@@ -389,6 +397,21 @@ def test_cli_equals_library(name, threads, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(["--out", str(out), "--threads", threads, *argv]) in (0, 1)
     assert out.read_text() == library_csv()
+
+
+def test_sweeps_do_not_call_class_group(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_group called from a sweep")
+
+    monkeypatch.setattr(quadforms, "class_group", refuse)
+    base = ["--threads", "1", "--chunk", "300", "--out", str(tmp_path / "out.csv")]
+    for sign in ("neg", "pos"):
+        assert cli.main([*base, "experiment", "t12", "--x-list", "500,700", "--sign", sign, "--k", "2"]) == 0
+        assert cli.main([*base, "density", "h3level", "--x", "700", "--m", "3", "--sign", sign]) == 0
+    assert cli.main([*base, "verify", "redei", "--dmax", "700", "--sign", "both", "--dmax-pos", "700"]) == 0
+    # the classgroup worker is the one chunk function that builds invariants
+    with pytest.raises(RuntimeError, match="class_group called"):
+        cli.main([*base, "classgroup", "--dmax", "50"])
 
 
 def test_checkpoint_with_unfinished_earlier_section_is_refused(tmp_path, capsys):

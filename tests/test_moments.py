@@ -276,13 +276,15 @@ def test_theorem12_majorant_dominates_pointwise():
 
 
 def test_theorem12_positive_sign():
-    reports = theorem12_experiment([150], 1, 1)
-    exact = next(r for r in reports if r.experiment == "t12-exact")
-    direct = sum(
-        quadforms.class_group(d).torsion(6)
-        for d, _ in arith.fundamental_discriminants(3, 150, 1)
-    )
-    assert exact.value == direct
+    groups = [
+        (quadforms.class_group(d), om) for d, om in arith.fundamental_discriminants(3, 1500, 1)
+    ]
+    for k in (1, 2, 3):
+        reports = theorem12_experiment([1500], k, 1)
+        exact = next(r for r in reports if r.experiment == "t12-exact")
+        maj = next(r for r in reports if r.experiment == "t12-majorant")
+        assert exact.value == sum(g.torsion(3 * 2 ** k) for g, _ in groups), k
+        assert maj.value == sum(g.torsion(3) * 2 ** om * 2 ** (k * g.rk4) for g, om in groups), k
 
 
 def test_theorem11_small_against_direct():

@@ -180,14 +180,22 @@ def test_rk4_property():
 
 
 def _sweep_expected(lo, hi, ns, sign=-1):
-    """Sweep rows built from class_group, one discriminant at a time."""
+    """Sweep rows built from class_group, one discriminant at a time: narrow
+    counts from the narrow group, ordinary counts from its explicit quotient."""
     rows = []
     for absd in range(max(lo, 1), hi + 1):
         delta = sign * absd
         if not arith.is_fundamental_discriminant(delta):
             continue
-        g = class_group(delta, narrow=True)
-        rows.append((absd, arith.omega(delta), g.h, tuple(g.torsion(n) for n in ns)))
+        narrow = class_group(delta, narrow=True)
+        ordinary = class_group(delta, narrow=False)
+        rows.append((
+            absd,
+            arith.omega(delta),
+            narrow.h,
+            tuple(narrow.torsion(n) for n in ns),
+            tuple(ordinary.torsion(n) for n in ns),
+        ))
     return rows
 
 
@@ -204,8 +212,23 @@ def test_neg_torsion_sweep_consistency():
 
 
 def test_pos_narrow_sweep_consistency():
-    for lo, hi, ns in ((3, 300, (2, 4)), (3, 1500, (3,)), (3, 1500, (2, 4, 8)), (700, 1500, (3,))):
+    # 12, 60 and 205 have a fundamental unit of norm +1, so Cl is a proper
+    # quotient of Cl+ there
+    for delta in (12, 60, 205):
+        assert fundamental_unit_norm(delta) == 1
+        assert class_group(delta, narrow=True).h == 2 * class_group(delta).h
+    for lo, hi, ns in ((3, 300, (2, 4)), (3, 1500, (3,)), (3, 1500, (2, 4, 8)), (700, 1500, (3,)),
+                       (3, 1500, (2, 3, 4, 8, 6, 12, 24, 1)), (12, 12, (2, 4, 8, 6, 12, 24)),
+                       (60, 60, (2, 4, 8, 6, 12, 24)), (205, 205, (2, 4, 8, 6, 12, 24))):
         assert pos_narrow_sweep(lo, hi, ns) == _sweep_expected(lo, hi, ns, sign=1), (lo, ns)
+
+
+def test_torsion_sweep_picks_the_sweep_by_sign():
+    ns = (2, 3, 4)
+    assert quadforms.torsion_sweep(100, 900, ns, -1) == neg_torsion_sweep(100, 900, ns)
+    assert quadforms.torsion_sweep(100, 900, ns, 1) == pos_narrow_sweep(100, 900, ns)
+    with pytest.raises(ValueError):
+        quadforms.torsion_sweep(100, 900, ns, 0)
 
 
 def test_neg_torsion_sweep_chunks_concatenate():
