@@ -133,14 +133,6 @@ class FactoredInt:
         if prod != self.value:
             raise ValueError("factorization does not multiply back to value")
 
-    @classmethod
-    def _proven(cls, value: int, sign: int, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
-        """Build without the checks of __post_init__, for a factorization
-        whose primes were just proven prime and multiplied out by factor()."""
-        self = object.__new__(cls)
-        self.__dict__.update(value=value, sign=sign, factors=factors)
-        return self
-
     @property
     def omega(self) -> int:
         return len(self.factors)
@@ -171,6 +163,14 @@ class FactoredInt:
         return divs
 
 
+def _proven(cls, **fields):
+    """Build a frozen dataclass without the checks of its __post_init__, for
+    fields whose primes factor() has just proven."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
 def factor(n: int) -> FactoredInt:
     """Factor a nonzero integer with |n| < 2^63.
 
@@ -195,7 +195,7 @@ def factor(n: int) -> FactoredInt:
             fac[m] = fac.get(m, 0) + 1
         else:
             _factor_into(m, fac)
-    return FactoredInt._proven(n, sign, tuple(sorted(fac.items())))
+    return _proven(FactoredInt, value=n, sign=sign, factors=tuple(sorted(fac.items())))
 
 
 def omega(n: int) -> int:
@@ -334,7 +334,9 @@ def prime_discriminant_decompose(delta: int) -> list[PrimeDiscriminant]:
 def _split_prime_discriminants(delta: int, fac: FactoredInt) -> list[PrimeDiscriminant]:
     """prime_discriminant_decompose for a fundamental delta, given the
     factorization of delta or of its square-free label (same odd primes)."""
-    odd_parts = [PrimeDiscriminant(star(p), p) for p, _ in fac.factors if p != 2]
+    odd_parts = [
+        _proven(PrimeDiscriminant, value=star(p), conductor=p) for p, _ in fac.factors if p != 2
+    ]
     residual = delta
     for pd in odd_parts:
         residual //= pd.value

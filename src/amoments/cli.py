@@ -138,7 +138,7 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
                     fh.flush()
 
         if ctx.threads > 1 and pending:
-            with Pool(min(ctx.threads, len(pending))) as pool:
+            with Pool(min(ctx.threads, len(pending), os.cpu_count() or 1)) as pool:
                 record(pool.imap_unordered(_dispatch, pending))
         else:
             record(map(_dispatch, pending))
@@ -206,7 +206,7 @@ def _w_classgroup(lo, hi, narrow):
         arith.fundamental_discriminants(lo, hi, -1),
         key=lambda pair: (abs(pair[0]), -pair[0]),  # by |delta|, delta > 0 first
     ):
-        g = quadforms.class_group(delta, narrow=narrow)
+        g = quadforms._class_group(delta, narrow)
         rows.append([delta, int(narrow), list(g.invariants)])
     return rows
 

@@ -112,11 +112,16 @@ def poly_from_string(text: str, nvars: int = 1) -> Poly:
     xs = sympy.symbols(f"t1:{nvars + 1}")
     local = {"t": xs[0]}
     local.update({f"t{i + 1}": xs[i] for i in range(nvars)})
-    expr = sympy.sympify(text, locals=local, rational=True)
-    poly = sympy.Poly(expr, *xs)
+    try:
+        poly = sympy.Poly(sympy.sympify(text, locals=local, rational=True), *xs)
+    except (sympy.SympifyError, sympy.PolynomialError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not a polynomial: {text!r}") from exc
     table: dict[tuple[int, ...], int] = {}
     for mono, c in zip(poly.monoms(), poly.coeffs()):
-        if c != int(c):
+        if c.free_symbols:
+            names = ", ".join(sorted(map(str, c.free_symbols)))
+            raise ValueError(f"unknown symbols in polynomial: {names}")
+        if not c.is_integer:
             raise ValueError("polynomial must have integer coefficients")
         table[tuple(mono)] = int(c)
     return Poly.from_terms(nvars, table)

@@ -2,10 +2,14 @@
 
 Rows are Python ints used as bitsets (bit j = column j), so row operations
 are single XORs regardless of width.  Matrices are immutable from the
-caller's point of view; elimination always works on a copy.
+caller's point of view; elimination always works on a copy.  The residue
+matrix of a prime tuple and the loop over its diagonal twists live here, as
+the class-group (Redei) and the 2-Selmer matrices are both built from them.
 """
 
 from __future__ import annotations
+
+from .arith import kronecker, sym_to_gf2
 
 _DIM_LIMIT = 4096
 
@@ -155,3 +159,36 @@ def block_matrix(blocks: list[list[Gf2Matrix]]) -> Gf2Matrix:
                 shift += w
             bits.append(acc)
     return Gf2Matrix(len(bits), sum(col_widths), bits)
+
+
+def residue_bits(primes: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
+    """Rows of the zero-row-sum residue matrix of a prime tuple.
+
+    Entry (i, j), i != j, is the additive symbol (values[j] / primes[i]); the
+    diagonal makes every row sum to 0.
+    """
+    bits = []
+    for i, p in enumerate(primes):
+        row = 0
+        for j, v in enumerate(values):
+            if j != i:
+                row |= sym_to_gf2(kronecker(v, p)) << j
+        bits.append(row | (row.bit_count() & 1) << i)
+    return bits
+
+
+def twist_diagonal(bits: list[int], diag: int) -> list[int]:
+    """Rows with diagonal entry k flipped wherever bit k of diag is set."""
+    return [row ^ (diag & (1 << k)) for k, row in enumerate(bits)]
+
+
+def twist_kernel_sizes(bits: list[int], r: int) -> list[int]:
+    """Kernel sizes of the square matrix with rows bits under every diagonal
+    twist over r classes, indexed by the twist bitmask: bit i flips diagonal
+    entry i of each r x r diagonal block."""
+    n = len(bits)
+    spread = sum(1 << s for s in range(0, n, r or 1))
+    return [
+        Gf2Matrix(n, n, twist_diagonal(bits, mask * spread)).kernel_size()
+        for mask in range(1 << r)
+    ]

@@ -217,15 +217,7 @@ def first_moment_lhs(X: int, weight: Weight) -> Fraction:
 def first_moment_lhs_profile(X: int, weight: Weight) -> list[Fraction]:
     if X > 10 ** 4:
         raise ValueError("exact mode supports X <= 10^4")
-    out = [Fraction(0)] * (X + 1)
-    for m, primes in odd_squarefree_with_primes(X):
-        sizes = redei.all_kernel_sizes(m)
-        out[m] = weight.of_omega(len(primes)) * Fraction(sum(sizes), len(sizes))
-    acc = Fraction(0)
-    for m in range(X + 1):
-        acc += out[m]
-        out[m] = acc
-    return out
+    return _direct_profile("class", X, 1, weight, None)
 
 
 def first_moment_rhs(X: int, weight: Weight) -> Fraction:
@@ -410,26 +402,28 @@ def _expansion_profile(
     return out
 
 
+def _twist_families(X: int, curve: selmer.CurveData | None):
+    """(m, omega(m), kernel sizes over the twist classes of m) for the odd
+    square-free m <= X: class-group twists, or with a curve the selmer twists
+    of the m coprime to the bad product."""
+    coprime_to = 1 if curve is None else 2 * curve.omega
+    for m, primes in odd_squarefree_with_primes(X, coprime_to):
+        sizes = redei.all_kernel_sizes(m) if curve is None else selmer.g_r_all_eps(curve, m)
+        yield m, len(primes), sizes
+
+
 def _direct_profile(
     setting: str, X: int, k: int, weight: Weight, curve: selmer.CurveData | None
 ) -> list[Fraction]:
     """Cumulative direct moment: F(m) times the twist-class average of the
     k-th power of the twisted kernel size."""
-    out = [Fraction(0)] * (X + 1)
     if setting == "class":
-        for m, primes in odd_squarefree_with_primes(X):
-            sizes = redei.all_kernel_sizes(m)
-            out[m] = weight.of_omega(len(primes)) * Fraction(
-                sum(s ** k for s in sizes), len(sizes)
-            )
-    else:
-        if curve is None:
-            raise ValueError("selmer moment needs a curve")
-        for m, primes in odd_squarefree_with_primes(X, 2 * curve.omega):
-            sizes = selmer.g_r_all_eps(curve, m)
-            out[m] = weight.of_omega(len(primes)) * Fraction(
-                sum(s ** k for s in sizes), len(sizes)
-            )
+        curve = None
+    elif curve is None:
+        raise ValueError("selmer moment needs a curve")
+    out = [Fraction(0)] * (X + 1)
+    for m, om, sizes in _twist_families(X, curve):
+        out[m] = weight.of_omega(om) * Fraction(sum(s ** k for s in sizes), len(sizes))
     acc = Fraction(0)
     for m in range(X + 1):
         acc += out[m]
@@ -831,11 +825,9 @@ def weighted_moment_profile(
     if X < 2:
         raise ValueError("need X >= 2")
     totals = {k: Fraction(0) for k in ks}
-    coprime_to = 1 if curve is None else 2 * curve.omega
-    for m, primes in odd_squarefree_with_primes(X, coprime_to):
-        sizes = redei.all_kernel_sizes(m) if curve is None else selmer.g_r_all_eps(curve, m)
+    for _, om, sizes in _twist_families(X, curve):
         avg = Fraction(sum(sizes), len(sizes))
-        fm = weight.of_omega(len(primes))
+        fm = weight.of_omega(om)
         for k in ks:
             totals[k] += fm * avg ** k
     euler = 1.0

@@ -368,6 +368,11 @@ def _check_disc(delta: int) -> None:
 def class_group(delta: int, narrow: bool = False) -> FormClassGroup:
     """Exact class group of the given fundamental discriminant."""
     _check_disc(delta)
+    return _class_group(delta, narrow)
+
+
+def _class_group(delta: int, narrow: bool) -> FormClassGroup:
+    """class_group for a delta known to be fundamental and within DISC_BOUND."""
     if delta < 0:
         _, g = _group_neg(delta)
         return FormClassGroup(delta, narrow, g.invariants(), g.n)

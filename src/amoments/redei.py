@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .arith import FactoredInt, PrimeDiscriminant, jacobi, kronecker, sym_to_gf2
-from .gf2 import Gf2Matrix
+from .arith import PrimeDiscriminant, jacobi, sym_to_gf2
+from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
+from .selmer import _nonresidue
 
 
 @dataclass(frozen=True)
@@ -43,20 +44,8 @@ def build_redei(m: int) -> RedeiSystem:
     # conductor 2 first, then the odd primes in increasing order
     rho = tuple(arith._split_prime_discriminants(delta, fac))
     primes = tuple(pd.conductor for pd in rho)
-    r = len(primes)
-    bits = []
-    for i in range(r):
-        row = 0
-        acc = 0
-        for j in range(r):
-            if i == j:
-                continue
-            e = sym_to_gf2(kronecker(rho[j].value, primes[i]))
-            acc ^= e
-            row |= e << j
-        row |= acc << i
-        bits.append(row)
-    return RedeiSystem(m, delta, primes, rho, Gf2Matrix(r, r, bits))
+    bits = residue_bits(primes, tuple(pd.value for pd in rho))
+    return RedeiSystem(m, delta, primes, rho, Gf2Matrix(len(primes), len(primes), bits))
 
 
 def rk4_narrow(m: int) -> int:
@@ -69,21 +58,11 @@ def _odd_primes_of_squarefree_part(a: int) -> tuple[int, ...]:
     return tuple(p for p, e in arith.factor(a).factors if p != 2 and e % 2)
 
 
-def _twisted_bits(qs: tuple[int, ...], eps: tuple[int, ...]) -> list[int]:
-    r = len(qs)
-    bits = []
-    for i in range(r):
-        row = 0
-        acc = eps[i]
-        for j in range(r):
-            if i == j:
-                continue
-            e = sym_to_gf2(kronecker(arith.discriminant(qs[j]), qs[i]))
-            acc ^= e
-            row |= e << j
-        row |= acc << i
-        bits.append(row)
-    return bits
+def _twisted_matrix(qs: tuple[int, ...], eps: tuple[int, ...]) -> Gf2Matrix:
+    """Residue matrix of the odd primes qs (entry (i, j) is (q_j / q_i)) with
+    its diagonal twisted by eps."""
+    diag = sum(e << i for i, e in enumerate(eps))
+    return Gf2Matrix(len(qs), len(qs), twist_diagonal(residue_bits(qs, qs), diag))
 
 
 def build_twisted(a: int, alpha: int) -> TwistedRedei:
@@ -95,7 +74,7 @@ def build_twisted(a: int, alpha: int) -> TwistedRedei:
         raise ValueError("twist must be coprime to the modulus")
     qs = _odd_primes_of_squarefree_part(a)
     eps = tuple(sym_to_gf2(jacobi(alpha % q, q)) for q in qs)
-    return TwistedRedei(a, qs, eps, Gf2Matrix(len(qs), len(qs), _twisted_bits(qs, eps)))
+    return TwistedRedei(a, qs, eps, _twisted_matrix(qs, eps))
 
 
 def g_twisted(a: int, alpha: int) -> int:
@@ -109,7 +88,7 @@ def g_from_eps(a: int, eps: tuple[int, ...]) -> int:
     qs = _odd_primes_of_squarefree_part(a)
     if len(eps) != len(qs):
         raise ValueError("twist-class vector has the wrong length")
-    return Gf2Matrix(len(qs), len(qs), _twisted_bits(qs, eps)).kernel_size()
+    return _twisted_matrix(qs, eps).kernel_size()
 
 
 def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
@@ -119,11 +98,7 @@ def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
         raise ValueError("twist-class vector has the wrong length")
     alpha, mod = 1, 1
     for q, e in zip(qs, eps):
-        if e:
-            res = next(x for x in range(2, q) if jacobi(x, q) == -1)
-        else:
-            res = 1
-        alpha = arith.crt_pair(alpha, mod, res, q)
+        alpha = arith.crt_pair(alpha, mod, _nonresidue(q) if e else 1, q)
         mod *= q
     while math.gcd(alpha, a) != 1:
         alpha += mod
@@ -133,12 +108,7 @@ def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
 def all_kernel_sizes(a: int) -> list[int]:
     """Kernel sizes for every twist class of a, indexed by the eps bitmask."""
     qs = _odd_primes_of_squarefree_part(a)
-    r = len(qs)
-    out = []
-    for mask in range(1 << r):
-        eps = tuple((mask >> i) & 1 for i in range(r))
-        out.append(Gf2Matrix(r, r, _twisted_bits(qs, eps)).kernel_size())
-    return out
+    return twist_kernel_sizes(residue_bits(qs, qs), len(qs))
 
 
 def g_detector(a: int, eps: tuple[int, ...]) -> Fraction:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith
-from .arith import hilbert_symbol, jacobi, kronecker, sym_to_gf2
-from .gf2 import Gf2Matrix
+from .arith import hilbert_symbol, jacobi, sym_to_gf2
+from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 
 ORACLE_BOUND = 10 ** 4
 
@@ -207,35 +207,23 @@ class SelmerSystem:
 
 
 def _selmer_bits(curve: CurveData, primes: tuple[int, ...], alpha: int) -> list[int]:
+    """Rows of [[A, D], [D', B]]: A and B are the residue matrix of the primes
+    with diagonals twisted by (alpha d21 / p_i) and (alpha d12 / p_i); D and
+    D' are diagonal with entries (d12 d13 / p_i) and (d21 d23 / p_i)."""
     r = len(primes)
     d12, d13 = curve.delta(1, 2), curve.delta(1, 3)
     d21, d23 = curve.delta(2, 1), curve.delta(2, 3)
-    leg = [[0] * r for _ in range(r)]
-    for i, p in enumerate(primes):
-        for j, q in enumerate(primes):
-            if i != j:
-                leg[i][j] = sym_to_gf2(jacobi(q % p, p))
-    bits = []
-    for i, p in enumerate(primes):
-        row = 0
-        acc = sym_to_gf2(jacobi(alpha * d21 % p, p))
-        for j in range(r):
-            if j != i:
-                acc ^= leg[i][j]
-                row |= leg[i][j] << j
-        row |= acc << i
-        row |= sym_to_gf2(jacobi(d12 * d13 % p, p)) << (r + i)
-        bits.append(row)
-    for i, p in enumerate(primes):
-        row = sym_to_gf2(jacobi(d21 * d23 % p, p)) << i
-        acc = sym_to_gf2(jacobi(alpha * d12 % p, p))
-        for j in range(r):
-            if j != i:
-                acc ^= leg[i][j]
-                row |= leg[i][j] << (r + j)
-        row |= acc << (r + i)
-        bits.append(row)
-    return bits
+
+    def diag(c: int) -> int:
+        return _pack(tuple(sym_to_gf2(jacobi(c % p, p)) for p in primes))
+
+    res = residue_bits(primes, primes)
+    a = twist_diagonal(res, diag(alpha * d21))
+    b = twist_diagonal(res, diag(alpha * d12))
+    d, d_prime = diag(d12 * d13), diag(d21 * d23)
+    top = [row | (d & (1 << i)) << r for i, row in enumerate(a)]
+    bottom = [row << r | (d_prime & (1 << i)) for i, row in enumerate(b)]
+    return top + bottom
 
 
 def build_selmer_matrix(curve: CurveData, t: int, alpha: int | None = None) -> SelmerSystem:
@@ -284,17 +272,7 @@ def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
     """
     t = _coprime_radical(curve, m)
     primes = tuple(p for p, _ in arith.factor(t).factors)
-    r = len(primes)
-    base = _selmer_bits(curve, primes, 1)
-    out = []
-    for mask in range(1 << r):
-        bits = list(base)
-        for i in range(r):
-            if (mask >> i) & 1:
-                bits[i] ^= 1 << i
-                bits[r + i] ^= 1 << (r + i)
-        out.append(Gf2Matrix(2 * r, 2 * r, bits).kernel_size())
-    return out
+    return twist_kernel_sizes(_selmer_bits(curve, primes, 1), len(primes))
 
 
 # ---------------------------------------------------------------------------

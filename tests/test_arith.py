@@ -161,6 +161,8 @@ def test_prime_discriminant_decompose():
     assert [pd.value for pd in arith.prime_discriminant_decompose(5)] == [5]
     with pytest.raises(ValueError):
         arith.prime_discriminant_decompose(18)
+    with pytest.raises(ValueError):
+        arith.PrimeDiscriminant(9, 9)
 
 
 def test_prime_discriminant_product_and_characters():

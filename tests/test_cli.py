@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from amoments import cli, density, moments, quadforms, selmer
+from amoments import arith, cli, density, moments, quadforms, selmer
 
 
 def run_cli(argv, capsys):
@@ -146,6 +146,20 @@ def test_classgroup_cache(tmp_path, capsys):
     assert "invariants=3,h=3" in out
 
 
+def test_classgroup_sweep_does_not_recheck_fundamentality(monkeypatch, capsys):
+    def refuse(d):
+        raise AssertionError("fundamentality re-checked")
+
+    # the sweep's discriminants come straight from the sieve
+    with monkeypatch.context() as patched:
+        patched.setattr(arith, "is_fundamental_discriminant", refuse)
+        rows = cli._w_classgroup(3, 500, False)
+    assert [row[0] for row in rows[:4]] == [-3, -4, 5, -7]
+    # a single --delta is still checked
+    code, _ = run_cli(["classgroup", "--delta", "9"], capsys)
+    assert code == 2
+
+
 @pytest.mark.parametrize("flags", [[], ["--delta", "-23", "--dmax", "60"]])
 def test_classgroup_takes_exactly_one_of_delta_and_dmax(flags, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -246,6 +260,12 @@ def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
     argv = ["--threads", "3", "--chunk", "150", "experiment", "t12", "--x-list", "300"]
     assert cli.main(argv) == 0
     assert asked == [2]
+    # six pending chunks and a huge --threads: no more processes than cores
+    asked.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["--threads", "100000", "--chunk", "50", "experiment", "t12", "--x-list", "300"]
+    assert cli.main(argv) == 0
+    assert asked == [2]
 
 
 # (argv, --max-chunks that stops the first run inside its last phase)
@@ -313,6 +333,11 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
         ["verify", "redei", "--dmax", "100", "--sign", "both", "--dmax-pos", str(10 ** 7 + 1)],
         ["classgroup", "--dmax", str(10 ** 7 + 1)],
         ["density", "h3level", "--x", str(10 ** 7 + 2)],
+        ["density", "poly", "--poly", "x+1"],
+        ["density", "poly", "--poly", "sin(t)"],
+        ["density", "poly", "--poly", "1/0"],
+        ["density", "poly", "--poly", "t**"],
+        ["experiment", "t11", "--poly", "x", "--b-list", "10"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -404,6 +429,7 @@ def test_sweeps_do_not_call_class_group(monkeypatch, tmp_path):
         raise AssertionError("class_group called from a sweep")
 
     monkeypatch.setattr(quadforms, "class_group", refuse)
+    monkeypatch.setattr(quadforms, "_class_group", refuse)
     base = ["--threads", "1", "--chunk", "300", "--out", str(tmp_path / "out.csv")]
     for sign in ("neg", "pos"):
         assert cli.main([*base, "experiment", "t12", "--x-list", "500,700", "--sign", sign, "--k", "2"]) == 0

@@ -137,6 +137,7 @@ def test_selmer_detector_matches_kernel_membership():
                 continue
             primes = tuple(p for p, _ in arith.factor(m).factors)
             r = len(primes)
+            sizes = selmer.g_r_all_eps(curve, m)
             for mask in range(1 << r):
                 eps = tuple((mask >> i) & 1 for i in range(r))
                 sys = selmer.build_selmer_matrix(
@@ -151,6 +152,7 @@ def test_selmer_detector_matches_kernel_membership():
                     assert (det == 1) == in_kernel, (curve, m, eps, split)
                     total += det
                 assert total == selmer.g_r(curve, m, _alpha_for(primes, eps, m))
+                assert total == sizes[mask]
 
 
 def _alpha_for(primes, eps, m):

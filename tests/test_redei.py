@@ -10,7 +10,7 @@ from amoments.quadforms import class_group
 RNG = random.Random(0xDEC0)
 
 
-def test_build_redei_examples():
+def test_build_redei_examples(monkeypatch):
     sys5 = redei.build_redei(5)
     assert sys5.matrix.rows == 1 and sys5.matrix.rank() == 0
     sys14 = redei.build_redei(-14)  # disc -56 = 8 * (-7)
@@ -20,6 +20,14 @@ def test_build_redei_examples():
     assert sys_neg5.matrix.rank() == 1
     with pytest.raises(ValueError):
         redei.build_redei(12)
+    # the primes factor() has just proven are not proven again
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for m in range(-(10 ** 4), 10 ** 4 + 1):
+        if m not in (0, 1) and arith.is_squarefree(m):
+            redei.build_redei(m)
+    assert calls == []
 
 
 def test_row_sums_zero():
@@ -113,7 +121,7 @@ def test_detector_identity_sweep():
             assert redei.g_detector(a, eps) == redei.g_twisted(a, alpha), (a, eps)
 
 
-def test_all_kernel_sizes_matches_realized_alphas():
+def test_all_kernel_sizes_matches_realized_alphas(monkeypatch):
     for a in (1, 3, 15, 105, 165):
         sizes = redei.all_kernel_sizes(a)
         r = len(redei.build_twisted(a, 1).odd_primes)
@@ -121,6 +129,21 @@ def test_all_kernel_sizes_matches_realized_alphas():
         for mask in range(1 << r):
             eps = tuple((mask >> i) & 1 for i in range(r))
             assert sizes[mask] == redei.g_twisted(a, redei.alpha_realizing(a, eps))
+    # against the divisor-sum detector, which builds no matrix
+    for a in range(1, 3001, 2):
+        if not arith.is_squarefree(a):
+            continue
+        sizes = redei.all_kernel_sizes(a)
+        r = len(sizes).bit_length() - 1
+        for mask, size in enumerate(sizes):
+            eps = tuple((mask >> i) & 1 for i in range(r))
+            assert size == redei.g_detector(a, eps), (a, eps)
+    # one factorization per twist family, none per matrix entry
+    calls = []
+    factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    redei.all_kernel_sizes(3 * 5 * 7 * 11 * 13)
+    assert calls == [3 * 5 * 7 * 11 * 13]
 
 
 def test_f_star_examples():
