@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: factorization, quadratic symbols, Hilbert symbols,
-discriminants and square-free decompositions.
+"""Exact integer arithmetic: factorization, quadratic symbols, local square
+classes and the Hilbert symbol, discriminants and square-free decompositions.
 
 Everything here is a pure function of its arguments.  Symbols are returned as
 integers in {-1, 0, +1}; the additive GF(2) convention (-1 -> 1, +1 -> 0) is
@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 _INT64_LIMIT = 1 << 63
@@ -347,13 +348,6 @@ def _split_prime_discriminants(delta: int, fac: FactoredInt) -> list[PrimeDiscri
     return [PrimeDiscriminant(residual, 2)] + odd_parts
 
 
-def _as_int_pair(x) -> tuple[int, int]:
-    """Represent a nonzero rational as (numerator, denominator)."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return int(x), 1
-
-
 def _val_unit(n: int, p: int) -> tuple[int, int]:
     v = 0
     while n % p == 0:
@@ -362,44 +356,53 @@ def _val_unit(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def local_coords(x, v) -> tuple[int, ...]:
+    """GF(2) coordinates of a nonzero rational x in Q_v*/Q_v*^2.
+
+    v = 'inf' (or math.inf): (s,) with s = 1 iff x < 0.  Odd p: (v_p, chi)
+    with chi = 1 iff the unit part is a non-residue mod p.  p = 2:
+    (v_2, eps, omega) with eps = (u-1)/2 and omega = (u^2-1)/8 of the unit
+    part u, mod 2.  A rational p/q is in the class of p*q.
+    """
+    n = x.numerator * x.denominator if isinstance(x, Fraction) else int(x)
+    if n == 0:
+        raise ValueError("zero has no square class")
+    if v == "inf" or v is math.inf:
+        return (1 if n < 0 else 0,)
+    p = int(v)
+    val, unit = _val_unit(abs(n), p)
+    if n < 0:
+        unit = -unit
+    if p == 2:
+        return (val % 2, ((unit - 1) // 2) % 2, ((unit * unit - 1) // 8) % 2)
+    return (val % 2, sym_to_gf2(jacobi(unit, p)))
+
+
 def hilbert_symbol(a, b, v) -> int:
-    """Hilbert symbol (a, b)_v for v a prime or the string 'inf'.
+    """Hilbert symbol (a, b)_v for v a prime or 'inf' (or math.inf).
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the completion
-    at v.  Accepts ints or Fractions; a rational p/q is handled through the
-    square-class representative p*q.
+    at v.  Accepts nonzero ints or Fractions.  The symbol is the pairing of
+    the local_coords of a and b (Serre, A Course in Arithmetic, III.1.2).
     """
-    an, ad = _as_int_pair(a)
-    bn, bd = _as_int_pair(b)
-    if an == 0 or bn == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    a = an * ad
-    b = bn * bd
-    if v == "inf" or v is math.inf:
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(v)
-    if p < 2 or not is_prime(p):
+    if v != "inf" and v is not math.inf and (int(v) < 2 or not is_prime(int(v))):
         raise ValueError(f"{v} is not a place")
-    alpha, u = _val_unit(abs(a), p)
-    beta, w = _val_unit(abs(b), p)
-    u *= 1 if a > 0 else -1
-    w *= 1 if b > 0 else -1
-    if p != 2:
-        e = 0
-        if alpha % 2 and beta % 2 and p % 4 == 3:
-            e = 1
-        s = (-1) ** e
-        if beta % 2:
-            s *= jacobi(u % p, p)
-        if alpha % 2:
-            s *= jacobi(w % p, p)
-        return s
-    eps_u = ((u - 1) // 2) % 2
-    eps_w = ((w - 1) // 2) % 2
-    om_u = ((u * u - 1) // 8) % 2
-    om_w = ((w * w - 1) // 8) % 2
-    e = eps_u * eps_w + alpha * om_w + beta * om_u
-    return -1 if e % 2 else 1
+    ca, cb = local_coords(a, v), local_coords(b, v)
+    if len(ca) == 1:
+        e = ca[0] & cb[0]
+    elif len(ca) == 2:
+        (va, chi_a), (vb, chi_b) = ca, cb
+        e = va & vb & (int(v) % 4 == 3) ^ chi_a & vb ^ chi_b & va
+    else:
+        (va, eps_a, om_a), (vb, eps_b, om_b) = ca, cb
+        e = eps_a & eps_b ^ va & om_b ^ vb & om_a
+    return -1 if e else 1
+
+
+@lru_cache(maxsize=None)
+def nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo an odd prime p."""
+    return next(x for x in range(2, p) if jacobi(x, p) == -1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from multiprocessing import Pool
 
 from . import arith, density, moments, quadforms, redei, selmer
@@ -24,29 +23,6 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-# ---------------------------------------------------------------------------
-# value encoding for checkpoints (exact rationals as num/den strings)
-
-
-def encode_value(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (list, tuple)):
-        return [encode_value(x) for x in v]
-    if isinstance(v, (int, float, str)):
-        return v
-    raise TypeError(f"cannot encode {type(v)}")
-
-
-def decode_value(v):
-    if isinstance(v, str) and "/" in v:
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    if isinstance(v, list):
-        return [decode_value(x) for x in v]
-    return v
 
 
 class IncompleteRun(Exception):
@@ -60,7 +36,9 @@ def _dispatch(job):
     # wrapper) is the one that runs
     fn = getattr(module, attr)
     try:
-        return idx, encode_value(fn(*args))
+        # the JSON text is the checkpoint line's value, so a fresh chunk and a
+        # replayed one are both read back by json.loads
+        return idx, json.dumps(fn(*args))
     except ValueError as exc:
         # input the worker rejects (a bad curve, a twist out of range) is a
         # usage error, not a failed check
@@ -81,7 +59,7 @@ def _read_checkpoint(path: str) -> tuple[list[tuple[str, dict]], bool]:
             sections.append((val, {}))
         elif key.startswith("chunk.") and sections:
             try:
-                sections[-1][1][int(key[6:])] = decode_value(json.loads(val))
+                sections[-1][1][int(key[6:])] = json.loads(val)
             except ValueError:
                 continue  # torn trailing line from an interrupted write
         elif ln.strip():
@@ -131,10 +109,10 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
             ctx.max_chunks -= len(pending)
 
         def record(results):
-            for idx, enc in results:
-                done[idx] = decode_value(enc)
+            for idx, text in results:
+                done[idx] = json.loads(text)
                 if fh:
-                    fh.write(f"chunk.{idx}={json.dumps(enc)}\n")
+                    fh.write(f"chunk.{idx}={text}\n")
                     fh.flush()
 
         if ctx.threads > 1 and pending:

@@ -103,10 +103,16 @@ class Poly:
         return len(factors)
 
 
+_POLY_CHARS = frozenset("0123456789t+-*^() \t\n")
+
+
 def poly_from_string(text: str, nvars: int = 1) -> Poly:
     """Parse an integer polynomial in t (univariate) or t1..t3."""
     if nvars < 1:
         raise ValueError("need nvars >= 1")
+    # sympify evaluates its text as Python, so only polynomial syntax gets that far
+    if not set(text) <= _POLY_CHARS:
+        raise ValueError(f"not a polynomial: {text!r}")
     import sympy
 
     xs = sympy.symbols(f"t1:{nvars + 1}")
@@ -125,11 +131,6 @@ def poly_from_string(text: str, nvars: int = 1) -> Poly:
             raise ValueError("polynomial must have integer coefficients")
         table[tuple(mono)] = int(c)
     return Poly.from_terms(nvars, table)
-
-
-def _symbol_mod(y: int, q: int) -> int:
-    """The unique value in {1, -1, 0} congruent to y^((q-1)/2) mod q."""
-    return arith.jacobi(y % q, q)
 
 
 def poly_density(P: Poly, a: int, epsilon: tuple[int, ...] | None = None) -> Fraction:
@@ -165,7 +166,7 @@ def poly_density(P: Poly, a: int, epsilon: tuple[int, ...] | None = None) -> Fra
         if v % a:
             continue
         y = v // a
-        if all(_symbol_mod(y, q) == e for q, e in zip(qs, epsilon)):
+        if all(arith.jacobi(y, q) == e for q, e in zip(qs, epsilon)):
             count += 1
     return Fraction(count, mod ** n)
 
@@ -192,7 +193,7 @@ def box_count(P: Poly, B: int, a: int, epsilon: tuple[int, ...] | None = None) -
             count += 1
             continue
         y = v // a
-        if all(_symbol_mod(y, q) == e for q, e in zip(qs, epsilon)):
+        if all(arith.jacobi(y, q) == e for q, e in zip(qs, epsilon)):
             count += 1
     return count
 
@@ -392,7 +393,7 @@ def h3_level_chunk(lo: int, hi: int, m: int, letters, sign: int) -> tuple[int, i
     for absd, _, _, _, (h3,) in quadforms.torsion_sweep(lo, hi, (3,), sign):
         d = sign * absd
         n = d if d % 4 == 1 else d // 4
-        if n % m == 0 and all(_symbol_mod(n // m, q) == e for q, e in letters):
+        if n % m == 0 and all(arith.jacobi(n // m, q) == e for q, e in letters):
             total += h3 - 1
             count += 1
     return total, count

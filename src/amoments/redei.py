@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .arith import PrimeDiscriminant, jacobi, sym_to_gf2
+from .arith import PrimeDiscriminant, jacobi, nonresidue, sym_to_gf2
 from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
-from .selmer import _nonresidue
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
         raise ValueError("twist-class vector has the wrong length")
     alpha, mod = 1, 1
     for q, e in zip(qs, eps):
-        alpha = arith.crt_pair(alpha, mod, _nonresidue(q) if e else 1, q)
+        alpha = arith.crt_pair(alpha, mod, nonresidue(q) if e else 1, q)
         mod *= q
     while math.gcd(alpha, a) != 1:
         alpha += mod

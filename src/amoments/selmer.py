@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import arith
-from .arith import hilbert_symbol, jacobi, sym_to_gf2
+from .arith import hilbert_symbol, jacobi, local_coords, nonresidue, sym_to_gf2
 from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 
 ORACLE_BOUND = 10 ** 4
@@ -53,37 +52,7 @@ class CurveData:
 
 
 # ---------------------------------------------------------------------------
-# local square classes
-
-
-def _square_class_rep(x) -> int:
-    """Integer representing the square class of a nonzero rational."""
-    if isinstance(x, Fraction):
-        return x.numerator * x.denominator
-    if x == 0:
-        raise ValueError("zero has no square class")
-    return int(x)
-
-
-def local_coords(x, v) -> tuple[int, ...]:
-    """GF(2) coordinates of x in Q_v*/squares.
-
-    'inf': (sign); 2: (v2, eps, omega) with eps = (u-1)/2, omega = (u^2-1)/8;
-    odd p: (v_p, quadratic character of the unit part).
-    """
-    n = _square_class_rep(x)
-    if v == "inf":
-        return (1 if n < 0 else 0,)
-    p = int(v)
-    val, unit = 0, abs(n)
-    while unit % p == 0:
-        unit //= p
-        val += 1
-    if n < 0:
-        unit = -unit
-    if p == 2:
-        return (val % 2, ((unit - 1) // 2) % 2, ((unit * unit - 1) // 8) % 2)
-    return (val % 2, sym_to_gf2(jacobi(unit % p, p)))
+# local square classes (coordinates from arith.local_coords)
 
 
 def _coords_dim(v) -> int:
@@ -146,10 +115,17 @@ class LocalConditions:
         return _gf2_member(basis, target)
 
 
+def _twist_factors(curve: CurveData, t: int) -> arith.FactoredInt:
+    """factor(t), after checking that t is a positive square-free twist
+    coprime to the bad product."""
+    if t <= 0 or (fac := arith.factor(t)).mobius == 0 or math.gcd(t, curve.omega) != 1:
+        raise ValueError("twist must be positive, square-free and coprime to the bad product")
+    return fac
+
+
 def local_conditions(curve: CurveData, d: int, v: int) -> LocalConditions:
     """L_{d,v} for a finite place v not dividing the bad product."""
-    if d <= 0 or not arith.is_squarefree(d) or math.gcd(d, curve.omega) != 1:
-        raise ValueError("twist must be positive, square-free and coprime to the bad product")
+    _twist_factors(curve, d)
     if curve.omega % v == 0:
         raise ValueError("place divides the bad product")
     if d % v != 0:
@@ -181,10 +157,9 @@ def phi_v(curve: CurveData, t: int, v: int, x1: int, x2: int) -> tuple[int, int]
 
 def selmer_condition_kernel(curve: CurveData, t: int) -> list[tuple[int, int]]:
     """All pairs of positive divisors of t passing every condition map."""
-    if t <= 0 or not arith.is_squarefree(t) or math.gcd(t, curve.omega) != 1:
-        raise ValueError("twist must be positive, square-free and coprime to the bad product")
-    primes = [p for p, _ in arith.factor(t).factors]
-    divs = arith.divisors(t)
+    fac = _twist_factors(curve, t)
+    primes = [p for p, _ in fac.factors]
+    divs = fac.divisors()
     out = []
     for x1 in divs:
         for x2 in divs:
@@ -230,38 +205,39 @@ def build_selmer_matrix(curve: CurveData, t: int, alpha: int | None = None) -> S
     """Block matrix [[A, D], [D', B]] whose right kernel is the condition
     kernel inside the positive-divisor space; kernel coordinates are the
     exponent vectors of (x1, x2)."""
-    if t <= 0 or not arith.is_squarefree(t) or math.gcd(t, curve.omega) != 1:
-        raise ValueError("twist must be positive, square-free and coprime to the bad product")
+    primes = tuple(p for p, _ in _twist_factors(curve, t).factors)
     a = 1 if alpha is None else alpha
     if math.gcd(a, t) != 1:
         raise ValueError("matrix twist must be coprime to the twist parameter")
-    primes = tuple(p for p, _ in arith.factor(t).factors)
     r = len(primes)
     return SelmerSystem(curve, t, primes, a, Gf2Matrix(2 * r, 2 * r, _selmer_bits(curve, primes, a)))
 
 
-def _coprime_radical(curve: CurveData, d: int) -> int:
-    """Largest square-free positive divisor of d coprime to the bad product."""
+def _coprime_radical(curve: CurveData, d: int) -> tuple[int, ...]:
+    """The primes of d not dividing the bad product, increasing: the primes
+    of its largest square-free positive divisor coprime to that product."""
     if d == 0:
         raise ValueError("twist must be nonzero")
-    return math.prod(
-        p for p, _ in arith.factor(abs(d)).factors if curve.omega % p != 0
-    )
+    return tuple(p for p, _ in arith.factor(abs(d)).factors if curve.omega % p != 0)
+
+
+def _kernel_size(curve: CurveData, primes: tuple[int, ...], alpha: int = 1) -> int:
+    """Kernel size of the condition matrix on the given twist primes."""
+    r = len(primes)
+    return Gf2Matrix(2 * r, 2 * r, _selmer_bits(curve, primes, alpha)).kernel_size()
 
 
 def f_r(curve: CurveData, d: int) -> int:
     """Kernel size of the condition matrix after the extension rules
     (signs, square parts and bad primes are stripped)."""
-    t = _coprime_radical(curve, d)
-    return build_selmer_matrix(curve, t).matrix.kernel_size()
+    return _kernel_size(curve, _coprime_radical(curve, d))
 
 
 def g_r(curve: CurveData, d: int, alpha: int) -> int:
     """Twisted kernel size; periodic in alpha modulo the reduced twist."""
     if math.gcd(d, alpha) != 1:
         raise ValueError("need coprime twist parameters")
-    t = _coprime_radical(curve, d)
-    return build_selmer_matrix(curve, t, alpha).matrix.kernel_size()
+    return _kernel_size(curve, _coprime_radical(curve, d), alpha)
 
 
 def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
@@ -270,8 +246,7 @@ def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
     Flipping eps_i toggles both diagonal entries at index i, matching the
     effect of multiplying the twist by a non-residue at p_i.
     """
-    t = _coprime_radical(curve, m)
-    primes = tuple(p for p, _ in arith.factor(t).factors)
+    primes = _coprime_radical(curve, m)
     return twist_kernel_sizes(_selmer_bits(curve, primes, 1), len(primes))
 
 
@@ -431,21 +406,6 @@ def _image_basis_inf(es) -> list[int]:
     return basis
 
 
-def _is_square_qp(x: Fraction, p: int) -> bool:
-    if x == 0:
-        return False
-    n = x.numerator * x.denominator
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v % 2:
-        return False
-    if p == 2:
-        return n % 8 == 1
-    return n % p != 0 and jacobi(n % p, p) == 1
-
-
 def _image_basis_padic(es, p: int) -> list[int]:
     target = 3 if p == 2 else 2
     basis: list[int] = []
@@ -463,12 +423,13 @@ def _image_basis_padic(es, p: int) -> list[int]:
                 for base in (es[0], es[1], es[2], 0):
                     x = base + t
                     fx = (x - es[0]) * (x - es[1]) * (x - es[2])
-                    if fx != 0 and _is_square_qp(Fraction(fx), p):
+                    # a square f(x) in Q_p makes x the abscissa of a local point
+                    if fx != 0 and not any(local_coords(fx, p)):
                         _gf2_insert(basis, _pair_coords(x - es[0], x - es[1], p))
                         if len(basis) == target:
                             return basis
     # guaranteed fallback: decide the remaining classes by torsor solubility
-    reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (1, _nonresidue(p), p, _nonresidue(p) * p)
+    reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (1, nonresidue(p), p, nonresidue(p) * p)
     c1, c2 = es[1] - es[0], es[2] - es[0]
     for b1 in reps:
         for b2 in reps:
@@ -480,11 +441,6 @@ def _image_basis_padic(es, p: int) -> list[int]:
                 if len(basis) == target:
                     return basis
     raise AssertionError(f"local image at {p} has dimension {len(basis)} != {target}")
-
-
-@lru_cache(maxsize=None)
-def _nonresidue(p: int) -> int:
-    return next(x for x in range(2, p) if jacobi(x, p) == -1)
 
 
 def _image_basis_ramified(es, p: int) -> list[int]:
@@ -510,7 +466,8 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
     """|Sel^2| of the quadratic twist by square-free d, by exact 2-descent."""
     if d == 0 or abs(d) > ORACLE_BOUND:
         raise ValueError(f"twist must be nonzero with |d| <= {ORACLE_BOUND}")
-    if not arith.is_squarefree(d):
+    fac = arith.factor(d)
+    if fac.mobius == 0:
         raise ValueError("twist must be square-free")
     es = (d * curve.r1, d * curve.r2, d * curve.r3)
     n1 = (es[0] - es[1]) * (es[0] - es[2])
@@ -520,7 +477,7 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
     gens = [(q, 1) for q in supp1] + [(1, q) for q in supp2]
     omega_odd = {p for p in curve.omega_primes if p != 2}
     places: list = ["inf", 2]
-    places += sorted(omega_odd | {p for p, _ in arith.factor(d).factors if p != 2})
+    places += sorted(omega_odd | {p for p, _ in fac.factors if p != 2})
     rows: list[int] = []
     ncols = len(gens)
     for v in places:
@@ -568,5 +525,7 @@ def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
         raise ValueError("need k >= 1")
     lhs = descent_selmer_oracle(curve, d) ** k
     w = len(curve.omega_primes)
-    best = max(f_r(c, d) for c in selmer_collection(curve))
+    # the rescaled curves have the same bad primes, so the same twist primes
+    primes = _coprime_radical(curve, d)
+    best = max(_kernel_size(c, primes) for c in selmer_collection(curve))
     return lhs <= 4 ** (k * w + k) * best ** k

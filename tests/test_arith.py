@@ -185,8 +185,38 @@ def test_hilbert_examples():
         assert arith.hilbert_symbol(1, -77, v) == 1
         assert arith.hilbert_symbol(13, 1, v) == 1
     assert arith.hilbert_symbol(2, 5, 2) == -1
+    for a, b in ((-1, -1), (-3, 7), (5, -2), (-6, -10)):
+        assert arith.hilbert_symbol(a, b, math.inf) == arith.hilbert_symbol(a, b, "inf")
     with pytest.raises(ValueError):
         arith.hilbert_symbol(0, 3, 5)
+    for v in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            arith.hilbert_symbol(2, 3, v)
+
+
+def _is_square_by_enumeration(sign: int, u: int, k: int, p: int) -> bool:
+    """Whether sign * u * p^k (p not dividing u) is a square in Q_p."""
+    if k % 2:
+        return False
+    if p == 2:
+        return sign * u % 8 == 1
+    return sign * u % p in {y * y % p for y in range(1, p)}
+
+
+def test_local_coords_vanish_exactly_on_squares():
+    for p in (2, 3, 5, 7, 11):
+        units = [u for u in range(1, 200) if u % p]
+        for u in units:
+            for sign in (1, -1):
+                for k in range(4):
+                    want = _is_square_by_enumeration(sign, u, k, p)
+                    assert (not any(arith.local_coords(sign * u * p ** k, p))) == want, (sign, u, k, p)
+                    # x / y^2 and x * y^2 lie in the class of x
+                    y = units[(u * 7 + k) % len(units)] * p ** (k % 3)
+                    for x in (Fraction(sign * u * p ** k, y * y), Fraction(sign * u * p ** k * y * y)):
+                        assert (not any(arith.local_coords(x, p))) == want, (x, p)
+    with pytest.raises(ValueError):
+        arith.local_coords(Fraction(0), 3)
 
 
 def test_hilbert_accepts_fractions():

@@ -316,6 +316,10 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# Python that a --poly text must never get to run
+POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -338,6 +342,7 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
         ["density", "poly", "--poly", "1/0"],
         ["density", "poly", "--poly", "t**"],
         ["experiment", "t11", "--poly", "x", "--b-list", "10"],
+        ["density", "poly", "--poly", POLY_PAYLOAD.format("X")],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -346,6 +351,13 @@ def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
     assert cli.main(["--threads", "1", *argv]) == 2
     assert not started
     assert "usage error" in capsys.readouterr().err
+
+
+def test_poly_text_is_not_run_as_code(tmp_path, capsys):
+    target = tmp_path / "touched"
+    assert cli.main(["density", "poly", "--poly", POLY_PAYLOAD.format(str(target))]) == 2
+    assert not target.exists()
+    assert "not a polynomial" in capsys.readouterr().err
 
 
 def _report_csv(reports):

@@ -247,7 +247,7 @@ def test_g_r_examples():
     assert g_r(curve, 1, 17) == 1
     for d in (5, 7, 15, 21):
         assert g_r(curve, d, 1) == f_r(curve, d)
-        t = selmer._coprime_radical(curve, d)
+        t = math.prod(selmer._coprime_radical(curve, d))
         for _ in range(10):
             alpha = RNG.randint(1, 200)
             if math.gcd(alpha, d) != 1 or math.gcd(alpha + t, d) != 1:
@@ -275,6 +275,23 @@ def test_g_r_all_eps_matches_explicit_twists():
         while math.gcd(alpha, m) != 1:
             alpha += mod
         assert sizes[mask] == g_r(curve, m, alpha), mask
+
+
+def test_each_twist_is_factored_once(monkeypatch):
+    calls = []
+    factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    curve = CurveData(0, 1, 2)
+    t = 3 * 5 * 7 * 11
+    for fn in (f_r, selmer_condition_kernel, g_r_all_eps, build_selmer_matrix):
+        calls.clear()
+        fn(curve, t)
+        assert calls == [t], fn.__name__
+    # once in the descent oracle, once for the whole rescaled collection
+    # (its curves share the bad primes, so they share the twist primes)
+    calls.clear()
+    check_majorization_selmer(CurveData(0, 1, -1), 105)
+    assert calls.count(105) == 2
 
 
 def brute_selmer_size(curve, d):
