@@ -153,9 +153,10 @@ def _w_selmer_kernel(r1, r2, r3, lo, hi):
     mismatches = []
     checked = 0
     for t in range(max(lo, 1), hi + 1):
-        if not arith.is_squarefree(t) or math.gcd(t, curve.omega) != 1:
+        if math.gcd(t, curve.omega) != 1 or (fac := arith.factor(t)).mobius == 0:
             continue
-        lhs = selmer.build_selmer_matrix(curve, t).matrix.kernel_size()
+        # selmer_condition_kernel factors t itself: an independent count
+        lhs = selmer._kernel_size(curve, tuple(p for p, _ in fac.factors))
         rhs = len(selmer.selmer_condition_kernel(curve, t))
         if lhs != rhs:
             mismatches.append(t)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 from . import arith, quadforms
 
@@ -296,52 +296,67 @@ def _pm_mulmod(a: list[int], b: list[int], mod_poly: list[int], p: int) -> list[
     return r
 
 
-def root_count_mod_p(P: Poly, p: int) -> int:
-    """Number of distinct roots of P in F_p (deg of gcd(x^p - x, squarefree part))."""
-    f = _poly_mod_p(P, p)
-    if not f:
-        return p  # identically zero mod p: every residue is a root
-    if len(f) == 1:
-        return 0
-    if p <= len(f):
-        # small prime: squarefree reduction can drop roots whose multiplicity
-        # is divisible by p, so count directly
-        return sum(1 for x in range(p) if _pm_eval(f, x, p) == 0)
-    fp = [(i * c) % p for i, c in enumerate(f)][1:]
-    while fp and fp[-1] == 0:
-        fp.pop()
-    sqf = f
-    g = _pm_gcd(f, fp, p)
-    if len(g) > 1:
-        sqf, _ = _pm_divmod(f, g, p)
-    if len(sqf) == 1:
-        return 0
-    # x^p mod sqf by square and multiply
-    xp = [0, 1]
-    _, xp = _pm_divmod(xp, sqf, p)
+def _pm_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pm_powmod(base: list[int], e: int, mod_poly: list[int], p: int) -> list[int]:
+    """base^e mod mod_poly (e >= 1) by square and multiply."""
     result = [1]
-    base = xp
-    e = p
     while e:
         if e & 1:
-            result = _pm_mulmod(result, base, sqf, p)
-        base = _pm_mulmod(base, base, sqf, p)
+            result = _pm_mulmod(result, base, mod_poly, p)
+        base = _pm_mulmod(base, base, mod_poly, p)
         e >>= 1
-    # result = x^p mod sqf; subtract x
-    while len(result) < 2:
-        result.append(0)
-    result[1] = (result[1] - 1) % p
-    while result and result[-1] == 0:
-        result.pop()
-    g = _pm_gcd(sqf, result, p)
-    return len(g) - 1 if g else len(sqf) - 1
+    return result
 
 
-def _pm_eval(f: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def _root_gcd(P: Poly, p: int) -> list[int] | None:
+    """g = gcd(x^p - x, P mod p), monic: the product of (x - a) over the
+    distinct roots a of P in F_p, since x^p - x is the product of all
+    (x - a). None when P = 0 mod p."""
+    f = _poly_mod_p(P, p)
+    if len(f) <= 1:
+        return [1] if f else None
+    return _pm_gcd(f, _pm_sub(_pm_powmod([0, 1], p, f, p), [0, 1], p), p)
+
+
+def _split_roots(g: list[int], p: int) -> list[int]:
+    """Roots of a monic product g of distinct linear factors over F_p.
+
+    h = gcd((x + c)^((p-1)/2) - 1, g) collects the roots a with a + c a
+    nonzero square. The shifts c = 0, 1, 2, ... are fixed; for two roots
+    a != b some shift separates them, as translation by b - a does not
+    preserve the nonzero squares.
+    """
+    deg = len(g) - 1
+    if deg == 0:
+        return []
+    if deg == 1:
+        return [-g[0] % p]
+    if deg == p:
+        return list(range(p))  # g = x^p - x
+    for c in range(p):
+        h = _pm_gcd(g, _pm_sub(_pm_powmod([c, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return _split_roots(h, p) + _split_roots(_pm_divmod(g, h, p)[0], p)
+    raise AssertionError("no shift splits the root product")
+
+
+def roots_mod_p(P: Poly, p: int) -> list[int]:
+    """The distinct roots of P in F_p, increasing (every residue when
+    P = 0 mod p)."""
+    g = _root_gcd(P, p)
+    return list(range(p)) if g is None else sorted(_split_roots(g, p))
+
+
+def root_count_mod_p(P: Poly, p: int) -> int:
+    """Number of distinct roots of P in F_p: the degree of gcd(x^p - x, P)."""
+    g = _root_gcd(P, p)
+    return p if g is None else len(g) - 1
 
 
 def frobenian_average(P: Poly, pmax: int) -> dict:

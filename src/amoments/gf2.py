@@ -141,26 +141,6 @@ def identity(n: int) -> Gf2Matrix:
     return Gf2Matrix(n, n, [1 << i for i in range(n)])
 
 
-def block_matrix(blocks: list[list[Gf2Matrix]]) -> Gf2Matrix:
-    """Assemble a matrix from a 2-D grid of conforming blocks."""
-    col_widths = [b.cols for b in blocks[0]]
-    bits = []
-    for block_row in blocks:
-        if [b.cols for b in block_row] != col_widths:
-            raise ValueError("column widths differ between block rows")
-        height = block_row[0].rows
-        if any(b.rows != height for b in block_row):
-            raise ValueError("row heights differ within a block row")
-        for i in range(height):
-            acc = 0
-            shift = 0
-            for b, w in zip(block_row, col_widths):
-                acc |= b.row_bits()[i] << shift
-                shift += w
-            bits.append(acc)
-    return Gf2Matrix(len(bits), sum(col_widths), bits)
-
-
 def residue_bits(primes: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
     """Rows of the zero-row-sum residue matrix of a prime tuple.
 

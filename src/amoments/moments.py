@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import arith, quadforms, redei, selmer
+from . import arith, density, quadforms, redei, selmer
 from .arith import jacobi
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,8 @@ def kth_moment_identity_profile(
     weight: Weight,
     curve: selmer.CurveData | None = None,
 ) -> tuple[list[Fraction], list[Fraction]]:
-    if X > 200 or k > 2:
-        raise ValueError("identity check supports X <= 200 and k <= 2")
+    if X > 200 or not 0 <= k <= 2:
+        raise ValueError("identity check supports X <= 200 and 0 <= k <= 2")
     direct = _direct_profile(setting, X, k, weight, curve)
     expansion = _expansion_profile(setting, X, k, weight, curve, exact_form=True)
     return direct, expansion
@@ -743,23 +743,23 @@ def _factor_rough(n: int) -> list[int]:
     return [p for p, _ in arith.factor(n).factors]
 
 
-def polynomial_radical_sweep(P, lo: int, hi: int, omega_val: int) -> list[tuple[int, int]]:
-    """(t, radical of P(t) coprime to omega_val) for lo <= t <= hi, P(t) != 0.
+def polynomial_radical_sweep(P, lo: int, hi: int, omega_val: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(t, increasing primes of P(t) not dividing omega_val) for lo <= t <= hi,
+    P(t) != 0.
 
-    Small primes are removed by stepping the polynomial's roots through the
+    Small primes are removed by stepping the roots of P mod p through the
     range; the leftover cofactors carry no small factor and go straight to
     primality testing and rho splitting.
     """
     ts = list(range(lo, hi + 1))
     vals = [P.eval((t,)) for t in ts]
-    rad = [1] * len(ts)
+    primes: list[list[int]] = [[] for _ in ts]
     rem = [abs(v) for v in vals]
     for p in arith.small_primes():
         if p > _SIEVE_PRIME_BOUND:
             break
-        roots = [r for r in range(p) if P.eval_mod((r,), p) == 0]
         keep = omega_val % p != 0
-        for r in roots:
+        for r in density.roots_mod_p(P, p):
             start = lo + ((r - lo) % p)
             for t in range(start, hi + 1, p):
                 i = t - lo
@@ -767,25 +767,20 @@ def polynomial_radical_sweep(P, lo: int, hi: int, omega_val: int) -> list[tuple[
                     while rem[i] % p == 0:
                         rem[i] //= p
                     if keep:
-                        rad[i] *= p
-    out = []
-    for i, t in enumerate(ts):
-        if vals[i] == 0:
-            continue
-        r = rad[i]
-        for p in _factor_rough(rem[i]):
-            if omega_val % p:
-                r *= p
-        out.append((t, r))
-    return out
+                        primes[i].append(p)
+    return [
+        (t, tuple(primes[i] + [p for p in _factor_rough(rem[i]) if omega_val % p]))
+        for i, t in enumerate(ts)
+        if vals[i]
+    ]
 
 
 def theorem11_chunk(P, lo: int, hi: int, curve: selmer.CurveData, k: int) -> int:
     """Sum of the condition-kernel majorant over one inclusive t range."""
-    total = 0
-    for _, r in polynomial_radical_sweep(P, lo, hi, curve.omega):
-        total += selmer.build_selmer_matrix(curve, r).matrix.kernel_size() ** k
-    return total
+    return sum(
+        selmer._kernel_size(curve, primes) ** k
+        for _, primes in polynomial_radical_sweep(P, lo, hi, curve.omega)
+    )
 
 
 def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk: int) -> list[tuple]:
@@ -793,6 +788,8 @@ def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk
     -max(B) to max(B) in ranges of at most `chunk`, cut at every -B and B."""
     if max(B_list) > 10 ** 4 or min(B_list) < 0 or P.nvars != 1 or P.degree() > 3:
         raise ValueError("supports one variable, degree <= 3, 0 <= B <= 10^4")
+    if k < 0:
+        raise ValueError("need k >= 0")
     B = max(B_list)
     cuts = [-b - 1 for b in B_list] + list(B_list)
     return [(P, lo, hi, curve, k) for lo, hi in arith.split_ranges(-B, B, chunk, cuts)]

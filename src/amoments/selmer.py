@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import arith
 from .arith import hilbert_symbol, jacobi, local_coords, nonresidue, sym_to_gf2
@@ -32,7 +33,7 @@ class CurveData:
         if len(set(rs)) != 3:
             raise ValueError("roots must be distinct")
         g = math.gcd(math.gcd(self.r1, self.r2), self.r3)
-        if g and not arith.is_squarefree(g):
+        if g > 1 and not arith.is_squarefree(g):
             raise ValueError("gcd of the roots must be square-free")
 
     def delta(self, i: int, j: int) -> int:
@@ -43,7 +44,7 @@ class CurveData:
     def omega(self) -> int:
         return 2 * self.delta(1, 2) * self.delta(1, 3) * self.delta(2, 3)
 
-    @property
+    @cached_property
     def omega_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in arith.factor(self.omega).factors)
 
@@ -470,14 +471,17 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
     if fac.mobius == 0:
         raise ValueError("twist must be square-free")
     es = (d * curve.r1, d * curve.r2, d * curve.r3)
-    n1 = (es[0] - es[1]) * (es[0] - es[2])
-    n2 = (es[1] - es[0]) * (es[1] - es[2])
-    supp1 = [-1, 2] + [p for p, _ in arith.factor(n1).factors if p != 2]
-    supp2 = [-1, 2] + [p for p, _ in arith.factor(n2).factors if p != 2]
-    gens = [(q, 1) for q in supp1] + [(1, q) for q in supp2]
+    d_odd = {p for p, _ in fac.factors if p != 2}
     omega_odd = {p for p in curve.omega_primes if p != 2}
+
+    def support(diffs: int) -> list[int]:
+        # e_i - e_j = d (r_i - r_j): the odd primes of d and of the root differences
+        return [-1, 2] + sorted(d_odd | {p for p in omega_odd if diffs % p == 0})
+
+    gens = [(q, 1) for q in support(curve.delta(1, 2) * curve.delta(1, 3))]
+    gens += [(1, q) for q in support(curve.delta(2, 1) * curve.delta(2, 3))]
     places: list = ["inf", 2]
-    places += sorted(omega_odd | {p for p, _ in fac.factors if p != 2})
+    places += sorted(omega_odd | d_odd)
     rows: list[int] = []
     ncols = len(gens)
     for v in places:

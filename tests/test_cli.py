@@ -316,6 +316,19 @@ def test_resume_with_changed_parameters_is_refused(name, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_selmer_kernel_worker_factors_each_twist_once(monkeypatch):
+    calls = []
+    factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    # once in the worker, once inside the independent condition-kernel count
+    assert cli._w_selmer_kernel(0, 1, 2, 1155, 1155) == [1, []]
+    assert calls == [1155, 1155]
+    calls.clear()
+    # even twists share the factor 2 of the bad product
+    assert cli._w_selmer_kernel(0, 1, 2, 4, 4) == [0, []]
+    assert calls == []
+
+
 # Python that a --poly text must never get to run
 POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
 
@@ -343,6 +356,8 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["density", "poly", "--poly", "t**"],
         ["experiment", "t11", "--poly", "x", "--b-list", "10"],
         ["density", "poly", "--poly", POLY_PAYLOAD.format("X")],
+        ["experiment", "t11", "--b-list", "10", "--k", "-1"],
+        ["identity", "k-moment", "--x", "50", "--k", "-1"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):

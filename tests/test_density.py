@@ -13,6 +13,7 @@ from amoments.density import (
     poly_density,
     poly_from_string,
     root_count_mod_p,
+    roots_mod_p,
 )
 
 
@@ -126,6 +127,55 @@ def test_root_count_mod_p():
     for p in (2, 3, 5, 7, 11, 13, 101, 977):
         direct = sum(1 for x in range(p) if (x ** 3 - x - 1) % p == 0)
         assert root_count_mod_p(R, p) == direct, p
+    for text, p in ROOT_EDGE_CASES:
+        P = poly_from_string(text)
+        assert root_count_mod_p(P, p) == len(brute_roots(P, p)), (text, p)
+
+
+def brute_roots(P, p):
+    """Roots of a univariate P in F_p by Horner evaluation at every residue."""
+    coeffs = [0] * (P.degree() + 1)
+    for (e,), c in P.terms:
+        coeffs[e] = c % p
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
+# p | leading coefficient, P = 0 mod p, repeated roots, P = x^p - x, constants
+ROOT_EDGE_CASES = [
+    ("3*t^2+3", 3),
+    ("3*t^2+3", 5),
+    ("6*t^2+6*t", 2),
+    ("6*t^2+6*t", 3),
+    ("6*t^2+6*t", 7),
+    *(("(t-1)^2*(t+3)^3", p) for p in (2, 3, 5, 7, 11)),
+    ("t^5-t", 5),
+    ("t^5-t", 7),
+    ("t^3-t", 3),
+    ("7", 5),
+    ("7", 7),
+    ("-1", 2),
+]
+
+
+def test_roots_mod_p_against_brute_force():
+    for text in ("t", "t*(t-1)*(t+2)", "t^2-2"):
+        P = poly_from_string(text)
+        for p in arith.small_primes():
+            if p > 3000:
+                break
+            assert roots_mod_p(P, p) == brute_roots(P, p), (text, p)
+    for text, p in ROOT_EDGE_CASES:
+        P = poly_from_string(text)
+        assert roots_mod_p(P, p) == brute_roots(P, p), (text, p)
+    assert roots_mod_p(poly_from_string("6*t^2+6*t"), 3) == [0, 1, 2]
+    assert roots_mod_p(poly_from_string("7"), 5) == []
 
 
 def test_frobenian_average_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from amoments.gf2 import Gf2Matrix, block_matrix, identity
+from amoments.gf2 import Gf2Matrix, identity
 from oracles import kernel_brute
 
 RNG = random.Random(0xBEEF)
@@ -98,15 +98,6 @@ def test_minor_rank_and_kernel_drop():
         ratio_num = max(sub.kernel_size(), m.kernel_size())
         ratio_den = min(sub.kernel_size(), m.kernel_size())
         assert ratio_num <= ratio_den * 4 ** k
-
-
-def test_block_matrix_layout():
-    a = Gf2Matrix.from_entries([[1, 0], [0, 1]])
-    d = Gf2Matrix.from_entries([[1, 1], [0, 1]])
-    m = block_matrix([[a, d], [d, a]])
-    assert m.rows == 4 and m.cols == 4
-    assert m.entry(0, 2) == 1 and m.entry(0, 3) == 1
-    assert m.entry(3, 0) == 0 and m.entry(3, 1) == 1
 
 
 def test_immutability_of_inputs():

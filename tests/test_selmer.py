@@ -294,6 +294,19 @@ def test_each_twist_is_factored_once(monkeypatch):
     assert calls.count(105) == 2
 
 
+def test_descent_oracle_factors_the_twist_once(monkeypatch):
+    calls = []
+    factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    curve = CurveData(0, 1, 2)
+    descent_selmer_oracle(curve, 1155)
+    # the supports come from the primes of d and of the bad product
+    assert calls == [1155, curve.omega]
+    calls.clear()
+    descent_selmer_oracle(curve, 1155)
+    assert calls == [1155]
+
+
 def brute_selmer_size(curve, d):
     """Independent |Sel^2|: everywhere-local solubility of all torsors."""
     es = tuple(d * r for r in curve.roots())
