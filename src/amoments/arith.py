@@ -9,10 +9,12 @@ applied by callers at module boundaries via :func:`sym_to_gf2`.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 _INT64_LIMIT = 1 << 63
@@ -21,8 +23,10 @@ _INT64_LIMIT = 1 << 63
 # comfortably covering the 64-bit input domain.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_BOUND = 10 ** 6
-_small_primes: list[int] | None = None
+PRIME_TABLE_BOUND = 10 ** 6
+# (limit, every prime <= limit), assigned as one tuple so a reader never sees
+# a limit without its primes
+_prime_table: tuple[int, list[int]] = (0, [])
 
 
 def _sieve_primes(limit: int) -> list[int]:
@@ -31,22 +35,33 @@ def _sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), sieve))
 
 
-def small_primes() -> list[int]:
-    """Primes up to 10^6, sieved once on first use."""
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = _sieve_primes(_TRIAL_BOUND)
-    return _small_primes
+def small_primes(limit: int = PRIME_TABLE_BOUND) -> list[int]:
+    """Every prime up to min(limit, 10^6), increasing, from the one prime
+    table of the process.
+
+    The table is sieved on demand to the next power of two, capped at 10^6,
+    and only grows, so the list may run past `limit`: callers stop at their
+    own bound.  A process that factors nothing larger than n sieves no
+    further than about sqrt(n).
+    """
+    global _prime_table
+    limit = min(limit, PRIME_TABLE_BOUND)
+    if limit > _prime_table[0]:
+        top = min(1 << (limit - 1).bit_length(), PRIME_TABLE_BOUND)
+        _prime_table = (top, _sieve_primes(top))
+    return _prime_table[1]
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: a lookup in the sieved primes up to 10^6, and
+    """Exact primality: a lookup in the prime table up to 10^6, and
     deterministic Miller-Rabin above that, valid for all inputs below 2^64."""
-    if n <= _TRIAL_BOUND:
-        primes = _small_primes or small_primes()
+    if n <= PRIME_TABLE_BOUND:
+        top, primes = _prime_table
+        if n > top:
+            primes = small_primes(n)
         i = bisect_left(primes, n)
         return i < len(primes) and primes[i] == n
     for p in _MR_WITNESSES:
@@ -175,8 +190,8 @@ def _proven(cls, **fields):
 def factor(n: int) -> FactoredInt:
     """Factor a nonzero integer with |n| < 2^63.
 
-    Trial division by sieved primes up to 10^6, then Brent's rho with
-    deterministic Miller-Rabin on the cofactor.
+    Trial division by the primes up to min(sqrt|n|, 10^6), then Brent's rho
+    with deterministic Miller-Rabin on the cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -185,14 +200,14 @@ def factor(n: int) -> FactoredInt:
     sign = 1 if n > 0 else -1
     m = abs(n)
     fac: dict[int, int] = {}
-    for p in small_primes():
+    for p in small_primes(math.isqrt(m)):
         if p * p > m:
             break
         while m % p == 0:
             fac[p] = fac.get(p, 0) + 1
             m //= p
     if m > 1:
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+        if m < PRIME_TABLE_BOUND * PRIME_TABLE_BOUND or is_prime(m):
             fac[m] = fac.get(m, 0) + 1
         else:
             _factor_into(m, fac)
@@ -444,24 +459,22 @@ def squarefree_sieve(limit: int) -> bytearray:
     return t
 
 
-_SPF_CACHE: dict[int, "array"] = {}
+_spf_table = array("i")
 
 
-def spf_cached(limit: int):
-    """Smallest-prime-factor table covering [0, limit], grown in powers of two."""
-    from array import array
-
-    key = 1 << max(limit, 4).bit_length()
-    if key not in _SPF_CACHE:
-        _SPF_CACHE.clear()
+def spf_cached(limit: int) -> array:
+    """Smallest-prime-factor table covering at least [0, limit]: the one
+    table of the process, built to the next power of two and only grown."""
+    global _spf_table
+    if len(_spf_table) <= limit:
+        key = 1 << max(limit, 4).bit_length()
         spf = array("i", range(key + 1))
-        for p in range(2, math.isqrt(key) + 1):
-            if spf[p] == p:
-                for m in range(p * p, key + 1, p):
-                    if spf[m] == m:
-                        spf[m] = p
-        _SPF_CACHE[key] = spf
-    return _SPF_CACHE[key]
+        # descending, so the smallest prime writes last
+        for p in reversed(small_primes(math.isqrt(key))):
+            if p * p <= key:
+                spf[p * p :: p] = array("i", [p]) * len(range(p * p, key + 1, p))
+        _spf_table = spf
+    return _spf_table
 
 
 def factor_by_spf(n: int, spf) -> list[tuple[int, int]]:

@@ -207,10 +207,12 @@ def check_lemma_2_10(P: Poly, pmax: int, B: int, theta: float = 0.2) -> dict:
     """
     if B < 1:
         raise ValueError("need a box size B >= 1")
+    if pmax > arith.PRIME_TABLE_BOUND:
+        raise ValueError(f"need pmax <= {arith.PRIME_TABLE_BOUND}")
     if not P.is_separable():
         raise ValueError("polynomial must be separable of degree >= 1")
     n = P.nvars
-    odd_primes = [p for p in arith.small_primes() if 2 < p <= pmax]
+    odd_primes = [p for p in arith.small_primes(pmax) if 2 < p <= pmax]
     c1 = Fraction(0)
     c2 = Fraction(0)
     c5 = Fraction(0)
@@ -365,7 +367,9 @@ def frobenian_average(P: Poly, pmax: int) -> dict:
     factor count it converges to."""
     if P.is_zero():
         raise ValueError("need a nonzero polynomial")
-    primes = [p for p in arith.small_primes() if p <= pmax]
+    if pmax > arith.PRIME_TABLE_BOUND:
+        raise ValueError(f"need pmax <= {arith.PRIME_TABLE_BOUND}")
+    primes = [p for p in arith.small_primes(pmax) if p <= pmax]
     if not primes:
         raise ValueError("no primes below the cutoff")
     total = sum(root_count_mod_p(P, p) for p in primes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import arith, density, quadforms, redei, selmer
@@ -743,6 +744,15 @@ def _factor_rough(n: int) -> list[int]:
     return [p for p, _ in arith.factor(n).factors]
 
 
+@lru_cache(maxsize=16)
+def _roots_below(P, bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(p, roots of P mod p) for every prime p <= bound, computed once per
+    process and shared by every chunk of a sweep."""
+    return tuple(
+        (p, tuple(density.roots_mod_p(P, p))) for p in arith.small_primes(bound) if p <= bound
+    )
+
+
 def polynomial_radical_sweep(P, lo: int, hi: int, omega_val: int) -> list[tuple[int, tuple[int, ...]]]:
     """(t, increasing primes of P(t) not dividing omega_val) for lo <= t <= hi,
     P(t) != 0.
@@ -755,11 +765,9 @@ def polynomial_radical_sweep(P, lo: int, hi: int, omega_val: int) -> list[tuple[
     vals = [P.eval((t,)) for t in ts]
     primes: list[list[int]] = [[] for _ in ts]
     rem = [abs(v) for v in vals]
-    for p in arith.small_primes():
-        if p > _SIEVE_PRIME_BOUND:
-            break
+    for p, roots in _roots_below(P, _SIEVE_PRIME_BOUND):
         keep = omega_val % p != 0
-        for r in density.roots_mod_p(P, p):
+        for r in roots:
             start = lo + ((r - lo) % p)
             for t in range(start, hi + 1, p):
                 i = t - lo
@@ -821,6 +829,8 @@ def weighted_moment_profile(
     factor product: class-group twists, or with a curve its selmer twists."""
     if X < 2:
         raise ValueError("need X >= 2")
+    if X > arith.PRIME_TABLE_BOUND:
+        raise ValueError(f"the Euler product needs X <= {arith.PRIME_TABLE_BOUND}")
     totals = {k: Fraction(0) for k in ks}
     for _, om, sizes in _twist_families(X, curve):
         avg = Fraction(sum(sizes), len(sizes))
@@ -828,7 +838,7 @@ def weighted_moment_profile(
         for k in ks:
             totals[k] += fm * avg ** k
     euler = 1.0
-    for p in arith.small_primes():
+    for p in arith.small_primes(X):
         if p > X:
             break
         euler *= 1 + float(weight.at_prime(p)) / p

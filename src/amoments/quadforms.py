@@ -123,7 +123,7 @@ def _reduce_pos(a: int, b: int, c: int, D: int, sD: int) -> Form:
 def _divisors_trial(n: int) -> list[int]:
     divs = [1]
     m = n
-    for p in arith.small_primes():
+    for p in arith.small_primes(math.isqrt(n)):
         if p * p > m:
             break
         if m % p == 0:

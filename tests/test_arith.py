@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -340,9 +341,80 @@ def test_ext_gcd_and_crt():
         arith.crt_pair(1, 4, 0, 6)
 
 
-def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+def _trial_is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
+
+def test_is_prime_matches_trial_division():
     for n in [*range(-5, 2 * 10 ** 4), *range(10 ** 6 - 200, 10 ** 6 + 201)]:
-        assert arith.is_prime(n) == trial(n), n
+        assert arith.is_prime(n) == _trial_is_prime(n), n
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty prime and smallest-prime-factor tables, restored afterwards."""
+    monkeypatch.setattr(arith, "_prime_table", (0, []))
+    monkeypatch.setattr(arith, "_spf_table", array("i"))
+
+
+def test_small_primes_grow_on_demand(cold_tables):
+    reference = [n for n in range(2, 5000) if _trial_is_prime(n)]
+    for L in (0, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 127, 128, 129, 1023, 1024, 1025, 4095, 4096, 4097):
+        primes = arith.small_primes(L)
+        assert primes == sorted(set(primes))
+        assert [p for p in primes if p <= L] == [p for p in reference if p <= L], L
+        assert all(_trial_is_prime(p) for p in primes[-20:])
+    # grow-only: a smaller request returns the larger table
+    assert arith.small_primes(10) is arith.small_primes(4097)
+    for L in (10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1):
+        primes = arith.small_primes(L)
+        assert len([p for p in primes if p <= L]) == 78498  # pi(10^6)
+        near = set(primes[-100:])
+        assert [n for n in range(10 ** 6 - 1000, L + 1) if _trial_is_prime(n)] == sorted(
+            p for p in near if p >= 10 ** 6 - 1000
+        )
+    assert arith._prime_table[0] == 10 ** 6
+
+
+def test_small_primes_default_is_the_full_table(cold_tables):
+    primes = arith.small_primes()
+    assert len(primes) == 78498
+    assert primes[:5] == [2, 3, 5, 7, 11] and primes[-1] == 999983
+    assert arith.small_primes(2 * 10 ** 6) is primes
+
+
+def test_is_prime_and_factor_grow_the_table_by_steps(cold_tables):
+    checks = [*range(-3, 40), 97, 1000, 1009, 4093, 65521, 65537, 10 ** 6, 10 ** 6 + 3, 999983]
+    checks += [2 ** 31 - 1, 1_000_003 * 999_983, 1_000_003 ** 2]
+    tops = []
+    for n in checks:
+        if n <= 10 ** 6 + 3:
+            assert arith.is_prime(n) == _trial_is_prime(n), n
+        if n >= 1:
+            fac = arith.factor(n)
+            assert math.prod(p ** e for p, e in fac.factors) == n
+            assert all(_trial_is_prime(p) for p, _ in fac.factors if p < 10 ** 7), n
+        tops.append(arith._prime_table[0])
+    assert tops == sorted(tops) and tops[-1] == 10 ** 6
+    assert all(t & (t - 1) == 0 or t == 10 ** 6 for t in tops)
+
+
+def test_factoring_small_numbers_sieves_little(cold_tables):
+    for n in range(1, 10 ** 4 + 1):
+        fac = arith.factor(n)
+        assert math.prod(p ** e for p, e in fac.factors) == n
+    assert arith._prime_table[0] <= 2 ** 7
+
+
+def test_spf_table_only_grows(cold_tables):
+    def reference(limit):
+        spf = [next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n) for n in range(2, limit + 1)]
+        return [0, 1] + spf
+
+    big = arith.spf_cached(5000)
+    assert list(big) == reference(len(big) - 1)
+    assert arith.spf_cached(100) is big
+    assert arith.spf_cached(len(big) - 1) is big
+    bigger = arith.spf_cached(len(big))
+    assert len(bigger) > len(big)
+    assert list(bigger) == reference(len(bigger) - 1)

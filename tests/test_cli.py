@@ -358,6 +358,9 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["density", "poly", "--poly", POLY_PAYLOAD.format("X")],
         ["experiment", "t11", "--b-list", "10", "--k", "-1"],
         ["identity", "k-moment", "--x", "50", "--k", "-1"],
+        ["density", "frobenian", "--poly", "t", "--pmax", str(2 * 10 ** 6)],
+        ["density", "lemma210", "--pmax", str(10 ** 6 + 1), "--box", "2"],
+        ["moment", "class", "--x", str(10 ** 6 + 1)],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
