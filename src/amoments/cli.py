@@ -288,7 +288,15 @@ def _parse_curve(text: str) -> tuple[int, int, int]:
 
 
 def cmd_verify_selmer(ctx, args) -> int:
-    r = _parse_curve(args.curve)
+    # every input is checked before the first phase sweeps
+    curve = selmer.CurveData(*_parse_curve(args.curve))
+    r = curve.roots()
+    if not 0 <= args.tmax <= 10 ** 6:
+        raise ValueError("need 0 <= --tmax <= 10^6")
+    if args.descent_dmax:
+        selmer._check_majorization_input(curve, args.k)
+        if not 0 < args.descent_dmax <= selmer.ORACLE_BOUND:
+            raise ValueError(f"need 0 <= --descent-dmax <= {selmer.ORACLE_BOUND}")
     rows = []
     status = 0
     tasks = [(r[0], r[1], r[2], lo, hi) for lo, hi in split_ranges(1, args.tmax, ctx.chunk)]

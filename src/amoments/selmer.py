@@ -5,18 +5,19 @@ condition matrices and their diagonal twists, and an exact 2-descent oracle.
 The descent oracle is pure F2 linear algebra: global candidate classes
 (b1, b2), restricted to the support forced by unramifiedness, are cut down
 by the local images of E_d(Q_v)/2E_d(Q_v) at the finitely many places that
-can obstruct.
+can obstruct.  One function finds every local image: the torsion images,
+then, where they fall short, a complete deterministic grid of local points
+walked until the known dimension is reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import arith
-from .arith import hilbert_symbol, jacobi, local_coords, nonresidue, sym_to_gf2
+from .arith import hilbert_symbol, jacobi, local_coords, sym_to_gf2
 from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 
 ORACLE_BOUND = 10 ** 4
@@ -252,133 +253,6 @@ def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# local solubility of descent torsors (used as a guaranteed fallback and by
-# the test suite as an independent check)
-
-
-def _valuation_capped(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
-
-
-def _affine_solutions_mod_p(rows: list[list[int]], rhs: list[int], p: int):
-    """All x in F_p^n with rows . x = rhs; yields tuples, or nothing."""
-    n = len(rows[0])
-    aug = [[v % p for v in row] + [r % p] for row, r in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][n]:
-            return
-    free = [c for c in range(n) if c not in pivots]
-    vals = [0] * len(free)
-    while True:
-        x = [0] * n
-        for c, v in zip(free, vals):
-            x[c] = v
-        for r, col in enumerate(pivots):
-            s = aug[r][n] - sum(aug[r][c] * x[c] for c in free)
-            x[col] = s % p
-        yield tuple(x)
-        i = 0
-        while i < len(free) and vals[i] == p - 1:
-            vals[i] = 0
-            i += 1
-        if i == len(free):
-            return
-        vals[i] += 1
-
-
-def _strip_content(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    v = min(_valuation_capped(c, p, 64) for c in coeffs if c)
-    return tuple(c // p ** v for c in coeffs)
-
-
-def torsor_solvable_qp(b1: int, b2: int, c1: int, c2: int, p: int) -> bool:
-    """Q_p-solubility of b1 z1^2 - b2 z2^2 = c1 z0^2, b1 z1^2 - b1 b2 z3^2 = c2 z0^2.
-
-    Each equation is first divided by its p-content (same variety, minimal
-    reduction).  Projective Hensel tree: a primitive solution mod p^k with a
-    2x2 Jacobian minor of valuation m < k/2 lifts; an empty level proves
-    insolubility.  Children of a node are cut out by a linear system mod p.
-    """
-    # coefficient vectors over (z0, z1, z2, z3)
-    A = _strip_content((-c1, b1, -b2, 0), p)
-    B = _strip_content((-c2, b1, 0, -b1 * b2), p)
-
-    def q(coeffs, z):
-        return sum(c * x * x for c, x in zip(coeffs, z))
-
-    def min_minor_val(z, cap):
-        g1 = [2 * c * x for c, x in zip(A, z)]
-        g2 = [2 * c * x for c, x in zip(B, z)]
-        best = cap
-        for i in range(4):
-            for j in range(i + 1, 4):
-                m = g1[i] * g2[j] - g1[j] * g2[i]
-                best = min(best, _valuation_capped(m, p, cap))
-        return best
-
-    def canonical(z, mod):
-        for x in z:
-            if x % p:
-                inv = pow(x, -1, mod)
-                return tuple(y * inv % mod for y in z)
-        raise AssertionError("non-primitive vector in torsor search")
-
-    level = set()
-    for z0 in range(p):
-        for z1 in range(p):
-            for z2 in range(p):
-                for z3 in range(p):
-                    z = (z0, z1, z2, z3)
-                    if any(z) and q(A, z) % p == 0 and q(B, z) % p == 0:
-                        level.add(canonical(z, p))
-    k = 1
-    prod = math.prod(c for c in A + B if c)
-    depth_cap = 2 * _valuation_capped(4 * prod, p, 60) + 24
-    while level:
-        mod = p ** k
-        nmod = mod * p
-        nxt = set()
-        for z in level:
-            if 2 * min_minor_val(z, k) < k:
-                return True
-            g1 = [2 * c * x for c, x in zip(A, z)]
-            g2 = [2 * c * x for c, x in zip(B, z)]
-            r1 = (q(A, z) // mod) % p
-            r2 = (q(B, z) // mod) % p
-            for delta in _affine_solutions_mod_p([g1, g2], [-r1, -r2], p):
-                w = tuple((zi + di * mod) % nmod for zi, di in zip(z, delta))
-                nxt.add(canonical(w, nmod))
-        level = nxt
-        k += 1
-        if k > depth_cap:
-            raise AssertionError("torsor search exceeded its depth bound")
-        if len(level) > 200000:
-            raise AssertionError("torsor search width exploded")
-    return False
-
-
-# ---------------------------------------------------------------------------
 # exact 2-descent oracle
 
 
@@ -391,68 +265,64 @@ def _torsion_pairs(es: tuple[int, int, int]):
     )
 
 
-def _image_basis_inf(es) -> list[int]:
-    basis: list[int] = []
-    for pair in _torsion_pairs(es):
-        _gf2_insert(basis, _pair_coords(pair[0], pair[1], "inf"))
-    s = sorted(es)
-    for x in (s[2] + 1, Fraction(s[0] + s[1], 2)):
-        fx = math.prod(Fraction(x) - e for e in es)
-        if fx > 0:
-            _gf2_insert(
-                basis, _pair_coords(Fraction(x) - es[0], Fraction(x) - es[1], "inf")
-            )
-    if len(basis) != 1:
-        raise AssertionError("real image has the wrong size")
-    return basis
+def _local_image(es: tuple[int, int, int], v) -> tuple[int, ...]:
+    """Echelon basis of the image of E(Q_v)/2E(Q_v) in (Q_v*/Q_v*^2)^2 under
+    P = (x, y) -> (x - e1, x - e2), for y^2 = (x - e1)(x - e2)(x - e3) with
+    distinct integer roots (Silverman, AEC X.1).
 
+    All of E[2] is rational, so the image has dimension _coords_dim(v): 1 at
+    inf, 2 at odd p, 3 at p = 2.  The torsion images come first.  They fill
+    the image at inf (the smallest root lies on the non-identity component)
+    and at odd p dividing every root gap exactly once, where their valuation
+    patterns are (0, 1), (1, 0) and (1, 1).
 
-def _image_basis_padic(es, p: int) -> list[int]:
-    target = 3 if p == 2 else 2
+    Otherwise the walk goes over x = base + u p^m, base in {e1, e2, e3, 0},
+    m in [-(2W+6), 2W+3] and 2W+6, units u < p^(W+3) (p^(W+5) at p = 2)
+    with both signs, smallest |u| first, where W is the largest valuation of
+    a root gap; it records every x whose f(x) is a nonzero square, until the
+    basis is full.  This grid meets every class of the image.  Let k = 3 at
+    p = 2 and 1 at odd p, so that 1 + s is a square whenever v(s) >= k, and
+    the class of y is fixed by y mod p^(v(y)+k).  Let x be the abscissa of a
+    point outside E[2], e_i a root nearest to it, m = v(x - e_i):
+    - v(x) <= -k: every x - e_j is x times a square, and the grid point
+      0 + u' p^m' with m' = v(x) mod 2 in {-k, -k-1} and u' = x p^(-v(x))
+      mod p^k has the same three classes;
+    - m >= W + k: each x - e_j with j != i is e_i - e_j times a square, so
+      the classes depend on m mod 2 and on (x - e_i) p^(-m) mod p^k, which
+      e_i + u' p^m' matches with m' in [W+k, 2W+3] or 2W+6 (both parities);
+    - otherwise -k < m < W + k and every v(x - e_j) <= m, so x mod p^(m+k)
+      fixes all three classes, and e_i + u' p^m with u' = (x - e_i) p^(-m)
+      mod p^k is on the grid.
+    The matching grid point has the same classes, so f of it is a nonzero
+    square too.  A full grid with a short basis is a bug: AssertionError.
+    """
+    target = _coords_dim(v)
     basis: list[int] = []
-    for pair in _torsion_pairs(es):
-        _gf2_insert(basis, _pair_coords(pair[0], pair[1], p))
-        if len(basis) == target:
-            return basis
-    # sample local points x near each branch point and at generic scales
-    units = (1, 3, 5, 7, 9, 11, 13, 15) if p == 2 else tuple(range(1, min(p, 10)))
-    for j in range(-6, 15):
-        scale = Fraction(p ** j) if j >= 0 else Fraction(1, p ** (-j))
-        for u in units:
-            for su in (u, -u):
-                t = su * scale
-                for base in (es[0], es[1], es[2], 0):
-                    x = base + t
-                    fx = (x - es[0]) * (x - es[1]) * (x - es[2])
-                    # a square f(x) in Q_p makes x the abscissa of a local point
-                    if fx != 0 and not any(local_coords(fx, p)):
-                        _gf2_insert(basis, _pair_coords(x - es[0], x - es[1], p))
+    for x1, x2 in _torsion_pairs(es):
+        _gf2_insert(basis, _pair_coords(x1, x2, v))
+    if len(basis) == target:
+        return tuple(basis)
+    p = v
+    W = max(arith._val_unit(abs(es[i] - es[j]), p)[0] for i, j in ((0, 1), (0, 2), (1, 2)))
+    exps = [*range(-(2 * W + 6), 2 * W + 4), 2 * W + 6]
+    for u in range(1, p ** (W + (5 if p == 2 else 3))):
+        if u % p == 0:
+            continue
+        for su in (u, -u):
+            for m in exps:
+                # x = num / den; the class of x - e is that of (num - e den) den
+                num, den = (su * p ** m, 1) if m >= 0 else (su, p ** -m)
+                for base in (*es, 0):
+                    n = num + base * den
+                    if any(n == e * den for e in es):
+                        continue
+                    c1, c2, c3 = (_pack(local_coords((n - e * den) * den, p)) for e in es)
+                    # f(x) is a square iff the three classes multiply to 1
+                    if c1 ^ c2 ^ c3 == 0:
+                        _gf2_insert(basis, c1 | c2 << target)
                         if len(basis) == target:
-                            return basis
-    # guaranteed fallback: decide the remaining classes by torsor solubility
-    reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (1, nonresidue(p), p, nonresidue(p) * p)
-    c1, c2 = es[1] - es[0], es[2] - es[0]
-    for b1 in reps:
-        for b2 in reps:
-            vec = _pair_coords(b1, b2, p)
-            if _gf2_member(basis, vec):
-                continue
-            if torsor_solvable_qp(b1, b2, c1, c2, p):
-                _gf2_insert(basis, vec)
-                if len(basis) == target:
-                    return basis
+                            return tuple(basis)
     raise AssertionError(f"local image at {p} has dimension {len(basis)} != {target}")
-
-
-def _image_basis_ramified(es, p: int) -> list[int]:
-    # odd p dividing the twist but not the bad product: the three torsion
-    # images have valuation patterns (0,1), (1,0), (1,1), so they span
-    basis: list[int] = []
-    for pair in _torsion_pairs(es):
-        _gf2_insert(basis, _pair_coords(pair[0], pair[1], p))
-    if len(basis) != 2:
-        raise AssertionError("ramified local image is not torsion-generated")
-    return basis
 
 
 # Local images at v = 2 and at the odd places dividing the bad product, keyed
@@ -485,15 +355,13 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
     rows: list[int] = []
     ncols = len(gens)
     for v in places:
-        if v == "inf":
-            img = _image_basis_inf(es)
-        elif v == 2 or v in omega_odd:
+        if v == 2 or v in omega_odd:
             key = (curve.roots(), v, local_coords(d, v))
-            img = _PADIC_IMAGES.get(key)
-            if img is None:
-                img = _PADIC_IMAGES[key] = tuple(_image_basis_padic(es, v))
-        else:
-            img = _image_basis_ramified(es, v)
+            if key not in _PADIC_IMAGES:
+                _PADIC_IMAGES[key] = _local_image(es, v)
+            img = _PADIC_IMAGES[key]
+        else:  # the torsion images fill it at once: nothing to keep
+            img = _local_image(es, v)
         m = 2 * _coords_dim(v)
         checks = Gf2Matrix(len(img), m, list(img)).kernel_basis()
         gen_coords = [_pair_coords(b1, b2, v) for b1, b2 in gens]
@@ -520,13 +388,17 @@ def selmer_collection(curve: CurveData) -> list[CurveData]:
     return out
 
 
-def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
-    """Whether |Sel^2(E_d)|^k <= 4^(k*w(bad)+k) * max over the rescaled
-    collection of the condition-kernel sizes."""
+def _check_majorization_input(curve: CurveData, k: int) -> None:
     if math.gcd(math.gcd(curve.r1, curve.r2), curve.r3) != 1:
         raise ValueError("roots must have gcd 1 for the rescaling collection")
     if k < 1:
         raise ValueError("need k >= 1")
+
+
+def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
+    """Whether |Sel^2(E_d)|^k <= 4^(k*w(bad)+k) * max over the rescaled
+    collection of the condition-kernel sizes."""
+    _check_majorization_input(curve, k)
     lhs = descent_selmer_oracle(curve, d) ** k
     w = len(curve.omega_primes)
     # the rescaled curves have the same bad primes, so the same twist primes

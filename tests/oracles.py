@@ -151,3 +151,108 @@ def brute_local_image(es, p) -> set:
             for su in (u, -u):
                 record(base + su * p ** big)
     return image
+
+
+def _affine_solutions_mod_p(rows: list[list[int]], rhs: list[int], p: int):
+    """All x in F_p^n with rows . x = rhs; yields tuples, or nothing."""
+    n = len(rows[0])
+    aug = [[v % p for v in row] + [r % p] for row, r in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[rank], aug[sel] = aug[sel], aug[rank]
+        inv = pow(aug[rank][col], -1, p)
+        aug[rank] = [v * inv % p for v in aug[rank]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(aug)):
+        if aug[i][n]:
+            return
+    free = [c for c in range(n) if c not in pivots]
+    vals = [0] * len(free)
+    while True:
+        x = [0] * n
+        for c, v in zip(free, vals):
+            x[c] = v
+        for r, col in enumerate(pivots):
+            s = aug[r][n] - sum(aug[r][c] * x[c] for c in free)
+            x[col] = s % p
+        yield tuple(x)
+        i = 0
+        while i < len(free) and vals[i] == p - 1:
+            vals[i] = 0
+            i += 1
+        if i == len(free):
+            return
+        vals[i] += 1
+
+
+def _strip_content(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    v = min(_valuation(c, p, 64) for c in coeffs if c)
+    return tuple(c // p ** v for c in coeffs)
+
+
+def torsor_solvable_qp(b1: int, b2: int, c1: int, c2: int, p: int) -> bool:
+    """Q_p-solubility of b1 z1^2 - b2 z2^2 = c1 z0^2, b1 z1^2 - b1 b2 z3^2 = c2 z0^2.
+
+    Each equation is first divided by its p-content (same variety, minimal
+    reduction).  Projective Hensel tree: a primitive solution mod p^k with a
+    2x2 Jacobian minor of valuation m < k/2 lifts; an empty level proves
+    insolubility.  Children of a node are cut out by a linear system mod p.
+    """
+    # coefficient vectors over (z0, z1, z2, z3)
+    A = _strip_content((-c1, b1, -b2, 0), p)
+    B = _strip_content((-c2, b1, 0, -b1 * b2), p)
+
+    def q(coeffs, z):
+        return sum(c * x * x for c, x in zip(coeffs, z))
+
+    def min_minor_val(z, cap):
+        g1 = [2 * c * x for c, x in zip(A, z)]
+        g2 = [2 * c * x for c, x in zip(B, z)]
+        best = cap
+        for i in range(4):
+            for j in range(i + 1, 4):
+                m = g1[i] * g2[j] - g1[j] * g2[i]
+                best = min(best, _valuation(m, p, cap))
+        return best
+
+    level = set()
+    for z0 in range(p):
+        for z1 in range(p):
+            for z2 in range(p):
+                for z3 in range(p):
+                    z = (z0, z1, z2, z3)
+                    if any(z) and q(A, z) % p == 0 and q(B, z) % p == 0:
+                        level.add(_canonical(z, p, p))
+    k = 1
+    prod = math.prod(c for c in A + B if c)
+    depth_cap = 2 * _valuation(4 * prod, p, 60) + 24
+    while level:
+        mod = p ** k
+        nmod = mod * p
+        nxt = set()
+        for z in level:
+            if 2 * min_minor_val(z, k) < k:
+                return True
+            g1 = [2 * c * x for c, x in zip(A, z)]
+            g2 = [2 * c * x for c, x in zip(B, z)]
+            r1 = (q(A, z) // mod) % p
+            r2 = (q(B, z) // mod) % p
+            for delta in _affine_solutions_mod_p([g1, g2], [-r1, -r2], p):
+                w = tuple((zi + di * mod) % nmod for zi, di in zip(z, delta))
+                nxt.add(_canonical(w, nmod, p))
+        level = nxt
+        k += 1
+        if k > depth_cap:
+            raise AssertionError("torsor search exceeded its depth bound")
+        if len(level) > 200000:
+            raise AssertionError("torsor search width exploded")
+    return False

@@ -277,11 +277,13 @@ def test_nonpositive_chunk_is_usage_error(chunk, capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_worker_value_error_is_usage_error(threads, capsys):
-    # repeated roots are rejected inside the chunk worker
-    code = cli.main(["--threads", threads, "verify", "selmer", "--tmax", "10", "--curve", "0,0,1"])
+def test_worker_value_error_is_usage_error(threads, monkeypatch, capsys):
+    # a ValueError raised inside a chunk worker, in a forked pool process at
+    # two threads
+    monkeypatch.setattr(cli, "_w_selmer_kernel", _refuse_chunks)
+    code = cli.main(["--threads", threads, "--chunk", "5", "verify", "selmer", "--tmax", "10", "--curve", "0,1,2"])
     assert code == 2
-    assert "roots must be distinct" in capsys.readouterr().err
+    assert "chunk ran" in capsys.readouterr().err
 
 
 def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
@@ -449,6 +451,14 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["density", "frobenian", "--poly", "t", "--pmax", str(2 * 10 ** 6)],
         ["density", "lemma210", "--pmax", str(10 ** 6 + 1), "--box", "2"],
         ["moment", "class", "--x", str(10 ** 6 + 1)],
+        ["verify", "selmer", "--tmax", "3", "--descent-dmax", str(10 ** 4 + 2)],
+        ["verify", "selmer", "--tmax", "2000", "--descent-dmax", "10", "--k", "0"],
+        ["verify", "selmer", "--tmax", "20", "--descent-dmax", "10", "--curve", "0,2,4"],
+        ["verify", "selmer", "--tmax", "20", "--descent-dmax", "-1"],
+        ["verify", "selmer", "--tmax", str(10 ** 6 + 1)],
+        ["verify", "selmer", "--tmax", "-1"],
+        ["verify", "selmer", "--tmax", "10", "--curve", "0,0,1"],
+        ["verify", "selmer", "--tmax", "10", "--curve", "4,8,12"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):

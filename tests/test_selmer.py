@@ -18,8 +18,8 @@ from amoments.selmer import (
     local_coords,
     phi_v,
     selmer_condition_kernel,
-    torsor_solvable_qp,
 )
+from oracles import torsor_solvable_qp
 
 RNG = random.Random(0x5E1)
 
@@ -374,9 +374,15 @@ def test_descent_oracle_against_brute_torsor_search():
         assert descent_selmer_oracle(curve2, d) == brute_selmer_size(curve2, d), d
 
 
+def _span(basis):
+    span = {0}
+    for vec in basis:
+        span |= {s ^ vec for s in span}
+    return span
+
+
 def test_local_images_against_grid_enumeration():
     from oracles import brute_local_image
-    from amoments.selmer import _image_basis_padic, _pair_coords
 
     cases = [
         ((0, 5, -5), 5),        # place dividing the twist and root gaps
@@ -391,17 +397,41 @@ def test_local_images_against_grid_enumeration():
     ]
     for es, p in cases:
         brute = brute_local_image(es, p)
-        basis = _image_basis_padic(es, p)
-        span = {0}
-        for v in basis:
-            span |= {s ^ v for s in span}
         computed = set()
         d = 3 if p == 2 else 2
-        for vec in span:
+        for vec in _span(selmer._local_image(es, p)):
             c1 = tuple((vec >> i) & 1 for i in range(d))
             c2 = tuple((vec >> (d + i)) & 1 for i in range(d))
             computed.add((c1, c2))
         assert computed == brute, (es, p)
+
+
+# (roots, place, twists) whose local images are held to torsor solubility:
+# 16 class pairs per twist at odd p, 64 at 2; no row takes much over a second
+TORSOR_CASES = [
+    ((0, 1, -1), 2, (1, 3, 5, 7)),
+    ((0, 1, 2), 2, (1, 3, 5, 7)),
+    ((0, 2, 5), 3, (1, 2, 3, 6)),
+    ((0, 2, 5), 5, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("roots,p,twists", TORSOR_CASES)
+def test_local_image_against_torsor_solubility(roots, p, twists):
+    # the grid test shares its enumeration with _local_image; this one
+    # decides every pair of class representatives by the Hensel tree
+    n = arith.nonresidue(p) if p != 2 else None
+    reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (1, n, p, n * p)
+    for d in twists:
+        es = tuple(d * r for r in roots)
+        c1, c2 = es[1] - es[0], es[2] - es[0]
+        soluble = {
+            selmer._pair_coords(b1, b2, p)
+            for b1 in reps
+            for b2 in reps
+            if torsor_solvable_qp(b1, b2, c1, c2, p)
+        }
+        assert soluble == _span(selmer._local_image(es, p)), (roots, p, d)
 
 
 def test_descent_oracle_power_of_two_and_contains_torsion():
@@ -449,13 +479,6 @@ def test_submatrix_majorization_f_vs_g():
 MEMO_TWISTS = [d for a in range(1, 301) for d in (a, -a) if arith.is_squarefree(d)]
 
 
-def _span(basis):
-    span = {0}
-    for vec in basis:
-        span |= {s ^ vec for s in span}
-    return span
-
-
 def _memo_places(curve):
     return [2] + [p for p in curve.omega_primes if p != 2]
 
@@ -470,8 +493,6 @@ def memo_run():
 
 
 def test_padic_image_memo_matches_fresh_computation(memo_run):
-    from amoments.selmer import _image_basis_padic
-
     _, cache = memo_run
     # each key was filled by the first twist of its class; recompute it from
     # the last one, so classes with two or more members compare different d
@@ -484,7 +505,7 @@ def test_padic_image_memo_matches_fresh_computation(memo_run):
                     continue
                 checked.add(key)
                 es = tuple(d * r for r in curve.roots())
-                assert _span(cache[key]) == _span(_image_basis_padic(es, v)), key
+                assert _span(cache[key]) == _span(selmer._local_image(es, v)), key
     assert checked == set(cache)
 
 
