@@ -8,13 +8,11 @@ crash), 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import heapq
 import json
 import math
 import os
 import sys
-from multiprocessing import Pool
 
 from . import arith, density, moments, quadforms, redei, selmer
 from .arith import split_ranges
@@ -73,6 +71,8 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
     """Evaluate worker(*task) for every task, in parallel, deterministically.
 
     Results are combined (returned) in task order regardless of scheduling.
+    The chunks run in this process unless at least two workers can run at
+    once (two threads, two pending chunks and two cores).
     With a checkpoint path, the n-th call of a run owns the n-th section of
     the file, headed by `config=` and a hash of (worker, phase, tasks):
     completed chunks are replayed from it and new ones appended as they
@@ -80,10 +80,12 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
     A section with another hash came from other parameters or another
     partition, and the run stops with a ValueError.
     """
-    sig = hashlib.sha256(repr((worker_name, phase, tasks)).encode()).hexdigest()
     done: dict[int, object] = {}
     fh = None
     if ctx.checkpoint:
+        import hashlib  # loads OpenSSL: only runs that checkpoint pay for it
+
+        sig = hashlib.sha256(repr((worker_name, phase, tasks)).encode()).hexdigest()
         sections = _read_checkpoint(ctx.checkpoint) if os.path.exists(ctx.checkpoint) else []
         n = ctx.sections
         ctx.sections += 1
@@ -113,8 +115,12 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
                     fh.write(f"chunk.{idx}={text}\n")
                     fh.flush()
 
-        if ctx.threads > 1 and pending:
-            with Pool(min(ctx.threads, len(pending), os.cpu_count() or 1)) as pool:
+        workers = min(ctx.threads, len(pending), os.cpu_count() or 1)
+        if workers > 1:
+            # a pool of one would only leave the parent waiting
+            from multiprocessing import Pool
+
+            with Pool(workers) as pool:
                 record(pool.imap_unordered(_dispatch, pending))
         else:
             record(map(_dispatch, pending))

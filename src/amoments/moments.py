@@ -216,8 +216,8 @@ def first_moment_lhs(X: int, weight: Weight) -> Fraction:
 
 
 def first_moment_lhs_profile(X: int, weight: Weight) -> list[Fraction]:
-    if X > 10 ** 4:
-        raise ValueError("exact mode supports X <= 10^4")
+    if not 1 <= X <= 10 ** 4:
+        raise ValueError("exact mode supports 1 <= X <= 10^4")
     return _direct_profile("class", X, 1, weight, None)
 
 
@@ -229,8 +229,8 @@ def first_moment_rhs_profile(X: int, weight: Weight) -> list[Fraction]:
     """Triple divisor sum with a single residue symbol between the first
     two parts, cumulative in the product cutoff: the k = 1 class expansion,
     whose three slots carry the one symbol (D_2 / D_3)."""
-    if X > 10 ** 4:
-        raise ValueError("exact mode supports X <= 10^4")
+    if not 1 <= X <= 10 ** 4:
+        raise ValueError("exact mode supports 1 <= X <= 10^4")
     return _expansion_profile("class", X, 1, weight, None, exact_form=True)
 
 
@@ -417,8 +417,8 @@ def kth_moment_identity_profile(
     weight: Weight,
     curve: selmer.CurveData | None = None,
 ) -> tuple[list[Fraction], list[Fraction]]:
-    if X > 200 or not 0 <= k <= 2:
-        raise ValueError("identity check supports X <= 200 and 0 <= k <= 2")
+    if not 1 <= X <= 200 or not 0 <= k <= 2:
+        raise ValueError("identity check supports 1 <= X <= 200 and 0 <= k <= 2")
     direct = _direct_profile(setting, X, k, weight, curve)
     expansion = _expansion_profile(setting, X, k, weight, curve, exact_form=True)
     return direct, expansion
@@ -809,6 +809,8 @@ def weighted_moment_profile(
         raise ValueError("need X >= 2")
     if X > arith.PRIME_TABLE_BOUND:
         raise ValueError(f"the Euler product needs X <= {arith.PRIME_TABLE_BOUND}")
+    if any(k < 0 for k in ks):
+        raise ValueError("need k >= 0")
     totals = {k: Fraction(0) for k in ks}
     for _, om, sizes in _twist_families(X, curve):
         avg = Fraction(sum(sizes), len(sizes))

@@ -276,17 +276,16 @@ def _local_image(es: tuple[int, int, int], v) -> tuple[int, ...]:
     and at odd p dividing every root gap exactly once, where their valuation
     patterns are (0, 1), (1, 0) and (1, 1).
 
-    Otherwise the walk goes over x = base + u p^m, base in {e1, e2, e3, 0},
-    m in [-(2W+6), 2W+3] and 2W+6, units u < p^(W+3) (p^(W+5) at p = 2)
-    with both signs, smallest |u| first, where W is the largest valuation of
-    a root gap; it records every x whose f(x) is a nonzero square, until the
-    basis is full.  This grid meets every class of the image.  Let k = 3 at
-    p = 2 and 1 at odd p, so that 1 + s is a square whenever v(s) >= k, and
-    the class of y is fixed by y mod p^(v(y)+k).  Let x be the abscissa of a
-    point outside E[2], e_i a root nearest to it, m = v(x - e_i):
-    - v(x) <= -k: every x - e_j is x times a square, and the grid point
-      0 + u' p^m' with m' = v(x) mod 2 in {-k, -k-1} and u' = x p^(-v(x))
-      mod p^k has the same three classes;
+    Otherwise, with k = 3 at p = 2 and 1 at odd p, so that 1 + s is a square
+    whenever v(s) >= k and the class of y is fixed by y mod p^(v(y)+k), the
+    walk goes over x = e_i + u p^m, m in [1-k, 2W+3] and 2W+6, units
+    u < p^(W+3) (p^(W+5) at p = 2) with both signs, smallest |u| first,
+    where W is the largest valuation of a root gap; it records every x whose
+    f(x) is a nonzero square, until the basis is full.  This grid meets every
+    class of the image.  Let x be the abscissa of a point outside E[2].  If
+    v(x) <= -k, every x - e_j is x times a square, so f(x) is a square only
+    when x is, and the class is trivial.  Otherwise let e_i be a root nearest
+    to x and m = v(x - e_i) > -k:
     - m >= W + k: each x - e_j with j != i is e_i - e_j times a square, so
       the classes depend on m mod 2 and on (x - e_i) p^(-m) mod p^k, which
       e_i + u' p^m' matches with m' in [W+k, 2W+3] or 2W+6 (both parities);
@@ -304,7 +303,8 @@ def _local_image(es: tuple[int, int, int], v) -> tuple[int, ...]:
         return tuple(basis)
     p = v
     W = max(arith._val_unit(abs(es[i] - es[j]), p)[0] for i, j in ((0, 1), (0, 2), (1, 2)))
-    exps = [*range(-(2 * W + 6), 2 * W + 4), 2 * W + 6]
+    k = 3 if p == 2 else 1
+    exps = [*range(1 - k, 2 * W + 4), 2 * W + 6]
     for u in range(1, p ** (W + (5 if p == 2 else 3))):
         if u % p == 0:
             continue
@@ -312,7 +312,7 @@ def _local_image(es: tuple[int, int, int], v) -> tuple[int, ...]:
             for m in exps:
                 # x = num / den; the class of x - e is that of (num - e den) den
                 num, den = (su * p ** m, 1) if m >= 0 else (su, p ** -m)
-                for base in (*es, 0):
+                for base in es:
                     n = num + base * den
                     if any(n == e * den for e in es):
                         continue

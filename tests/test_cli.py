@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
 import shlex
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -304,12 +307,13 @@ def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
         def imap_unordered(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
-    # two phases of one chunk each: a one-process pool apiece
+    # run_chunks imports Pool from multiprocessing when it starts one
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # two phases of one chunk each: both run in this process
     argv = ["--threads", "3", "verify", "selmer", "--tmax", "30", "--descent-dmax", "20"]
     assert cli.main(argv) == 0
-    assert asked == [1, 1]
-    asked.clear()
+    assert asked == []
     argv = ["--threads", "3", "--chunk", "150", "experiment", "t12", "--x-list", "300"]
     assert cli.main(argv) == 0
     assert asked == [2]
@@ -319,6 +323,64 @@ def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
     argv = ["--threads", "100000", "--chunk", "50", "experiment", "t12", "--x-list", "300"]
     assert cli.main(argv) == 0
     assert asked == [2]
+    # one core, or one thread: no pool
+    for threads, cores in (("4", 1), ("1", 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        argv = ["--threads", threads, "--chunk", "50", "experiment", "t12", "--x-list", "300"]
+        assert cli.main(argv) == 0
+    assert asked == [2]
+
+
+# a checkpoint of `verify selmer --tmax 50 --descent-dmax 30`, cut after its
+# first phase; each phase is one chunk
+SELMER_CHECKPOINT = (
+    "config=cabc004d683b28a7f848db6fcfa1e8c5832cf94d31c707f9d4efa0d275940951\n"
+    "chunk.0=[20, []]\n"
+    "config=5684a780d1cc879956ca598f41a00220eb4fad839a93f64635809faa04db96a7\n"
+)
+
+
+def test_one_chunk_phases_resume_identically_at_two_threads(tmp_path):
+    argv = ["verify", "selmer", "--tmax", "50", "--descent-dmax", "30"]
+    ref, ref_cp = tmp_path / "ref.csv", tmp_path / "ref.ckpt"
+    assert cli.main(["--threads", "1", "--out", str(ref), "--checkpoint", str(ref_cp), *argv]) == 0
+    cut = tmp_path / "cut.ckpt"
+    assert cli.main(["--threads", "1", "--checkpoint", str(cut), "--max-chunks", "1", *argv]) == 0
+    # the section signatures are those of earlier versions, whose
+    # checkpoints therefore still resume
+    assert cut.read_text() == SELMER_CHECKPOINT
+    out = tmp_path / "out.csv"
+    assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(cut), *argv]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert cut.read_bytes() == ref_cp.read_bytes()
+
+
+# prints the exit code and which of these modules the run loaded
+_IMPORT_PROBE = """
+import sys
+from amoments import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted({"hashlib", "_hashlib", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["moment", "class", "--x", "200"],
+        ["--threads", "2", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"],
+    ],
+)
+def test_runs_without_pool_or_checkpoint_load_neither(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # (argv, --max-chunks that stops the first run inside its last phase)
@@ -459,6 +521,10 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["verify", "selmer", "--tmax", "-1"],
         ["verify", "selmer", "--tmax", "10", "--curve", "0,0,1"],
         ["verify", "selmer", "--tmax", "10", "--curve", "4,8,12"],
+        ["moment", "class", "--x", "10", "--k", "-1"],
+        ["identity", "first-moment", "--x", "-5"],
+        ["identity", "first-moment", "--x", "0"],
+        ["identity", "k-moment", "--x", "0"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
