@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 _INT64_LIMIT = 1 << 63
 
@@ -128,26 +127,30 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-@dataclass(frozen=True)
-class FactoredInt:
-    """A nonzero signed integer with its complete prime factorization."""
-
+class _FactoredFields(NamedTuple):
     value: int
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        prod = self.sign
+
+class FactoredInt(_FactoredFields):
+    """A nonzero signed integer with its complete prime factorization."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, sign: int, factors: tuple[tuple[int, int], ...]):
+        prod = sign
         prev = 0
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must have increasing primes and exponents >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
             prod *= p ** e
-        if prod != self.value:
+        if prod != value:
             raise ValueError("factorization does not multiply back to value")
+        return super().__new__(cls, value, sign, factors)
 
     @property
     def omega(self) -> int:
@@ -179,12 +182,10 @@ class FactoredInt:
         return divs
 
 
-def _proven(cls, **fields):
-    """Build a frozen dataclass without the checks of its __post_init__, for
-    fields whose primes factor() has just proven."""
-    self = object.__new__(cls)
-    self.__dict__.update(fields)
-    return self
+def _proven(cls, *fields):
+    """Build a record without the checks of its __new__, for fields whose
+    primes factor() has just proven."""
+    return tuple.__new__(cls, fields)
 
 
 def factor(n: int) -> FactoredInt:
@@ -211,7 +212,7 @@ def factor(n: int) -> FactoredInt:
             fac[m] = fac.get(m, 0) + 1
         else:
             _factor_into(m, fac)
-    return _proven(FactoredInt, value=n, sign=sign, factors=tuple(sorted(fac.items())))
+    return _proven(FactoredInt, n, sign, tuple(sorted(fac.items())))
 
 
 def omega(n: int) -> int:
@@ -319,21 +320,23 @@ def field_label(delta: int) -> int:
     return delta if delta % 4 == 1 else delta // 4
 
 
-@dataclass(frozen=True)
-class PrimeDiscriminant:
-    """A fundamental discriminant with exactly one prime divisor."""
-
+class _PrimeDiscFields(NamedTuple):
     value: int
     conductor: int
 
-    def __post_init__(self):
-        ok = (self.value in (-4, 8, -8) and self.conductor == 2) or (
-            self.conductor % 2 == 1
-            and is_prime(self.conductor)
-            and self.value == star(self.conductor)
+
+class PrimeDiscriminant(_PrimeDiscFields):
+    """A fundamental discriminant with exactly one prime divisor."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, conductor: int):
+        ok = (value in (-4, 8, -8) and conductor == 2) or (
+            conductor % 2 == 1 and is_prime(conductor) and value == star(conductor)
         )
         if not ok:
-            raise ValueError(f"{self.value} is not a prime discriminant")
+            raise ValueError(f"{value} is not a prime discriminant")
+        return super().__new__(cls, value, conductor)
 
 
 def prime_discriminant_decompose(delta: int) -> list[PrimeDiscriminant]:
@@ -351,7 +354,7 @@ def _split_prime_discriminants(delta: int, fac: FactoredInt) -> list[PrimeDiscri
     """prime_discriminant_decompose for a fundamental delta, given the
     factorization of delta or of its square-free label (same odd primes)."""
     odd_parts = [
-        _proven(PrimeDiscriminant, value=star(p), conductor=p) for p, _ in fac.factors if p != 2
+        _proven(PrimeDiscriminant, star(p), p) for p, _ in fac.factors if p != 2
     ]
     residual = delta
     for pd in odd_parts:
@@ -420,8 +423,7 @@ def nonresidue(p: int) -> int:
     return next(x for x in range(2, p) if jacobi(x, p) == -1)
 
 
-@dataclass(frozen=True)
-class SqfDecomposition:
+class SqfDecomposition(NamedTuple):
     """The unique factorization a = alpha^2 * beta * gamma with beta*gamma
     square-free, beta | alpha and gcd(alpha*beta, gamma) = 1."""
 

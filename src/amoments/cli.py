@@ -46,7 +46,7 @@ def _dispatch(job):
 
 
 def _read_checkpoint(path: str) -> list[tuple[str, dict]]:
-    """The (signature, finished chunks) sections of a checkpoint in file
+    """The (header, finished chunks) sections of a checkpoint in file
     order.  One process appends and flushes it line by line, so only the last
     line can be cut off by an interrupted write: a last line with no newline
     is dropped, and cut from the file before anything is appended."""
@@ -67,6 +67,19 @@ def _read_checkpoint(path: str) -> list[tuple[str, dict]]:
     return sections
 
 
+def _same_config(header: str, config: str) -> bool:
+    """Whether a section header names this phase's task text.  Checkpoints
+    written before headers held the text carry its SHA-256 in 64 hex digits
+    (a task text starts with a parenthesis), and only those load hashlib."""
+    if header == config:
+        return True
+    if len(header) == 64 and all(c in "0123456789abcdef" for c in header):
+        import hashlib  # loads OpenSSL
+
+        return header == hashlib.sha256(config.encode()).hexdigest()
+    return False
+
+
 def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
     """Evaluate worker(*task) for every task, in parallel, deterministically.
 
@@ -74,23 +87,21 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
     The chunks run in this process unless at least two workers can run at
     once (two threads, two pending chunks and two cores).
     With a checkpoint path, the n-th call of a run owns the n-th section of
-    the file, headed by `config=` and a hash of (worker, phase, tasks):
+    the file, headed by `config=` and the text repr((worker, phase, tasks)):
     completed chunks are replayed from it and new ones appended as they
     finish, so resuming is byte-for-byte equivalent to an uninterrupted run.
-    A section with another hash came from other parameters or another
+    A section with another header came from other parameters or another
     partition, and the run stops with a ValueError.
     """
     done: dict[int, object] = {}
     fh = None
     if ctx.checkpoint:
-        import hashlib  # loads OpenSSL: only runs that checkpoint pay for it
-
-        sig = hashlib.sha256(repr((worker_name, phase, tasks)).encode()).hexdigest()
+        config = repr((worker_name, phase, tasks))
         sections = _read_checkpoint(ctx.checkpoint) if os.path.exists(ctx.checkpoint) else []
         n = ctx.sections
         ctx.sections += 1
         if n < len(sections):
-            if sections[n][0] != sig:
+            if not _same_config(sections[n][0], config):
                 raise ValueError("checkpoint belongs to a different configuration")
             done = sections[n][1]
             if n < len(sections) - 1 and len(done) < len(tasks):
@@ -98,7 +109,7 @@ def run_chunks(ctx, phase: str, worker_name: str, tasks: list[tuple]) -> list:
                 raise ValueError("checkpoint has an unfinished section before the last")
         fh = open(ctx.checkpoint, "a")
         if n >= len(sections):
-            fh.write(f"config={sig}\n")
+            fh.write(f"config={config}\n")
         fh.flush()
     try:
         pending = [
@@ -252,7 +263,9 @@ def emit(ctx, header: str, rows: list[str]) -> None:
 
 def _disc_ranges(ctx, dmax: int) -> list[tuple[int, int]]:
     """The |disc| chunks [3, dmax] of a class-group sweep, after checking
-    dmax against the oracle's bound."""
+    that the range holds a discriminant and keeps to the oracle's bound."""
+    if dmax < 3:
+        raise ValueError(f"need a |disc| bound >= 3, got {dmax}")
     if dmax > quadforms.DISC_BOUND:
         raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
     return split_ranges(3, dmax, ctx.chunk)
@@ -450,6 +463,7 @@ def cmd_classgroup(ctx, args) -> int:
     cache: dict = {}
     if args.cache and os.path.exists(args.cache):
         cache = quadforms.cache_load(args.cache)
+    loaded = dict(cache)
     if args.delta is not None:
         key = (args.delta, args.narrow)
         if key not in cache:
@@ -459,7 +473,8 @@ def cmd_classgroup(ctx, args) -> int:
         tasks = [(lo, hi, args.narrow) for lo, hi in _disc_ranges(ctx, args.dmax)]
         found = [row for part in run_chunks(ctx, "classgroup", "classgroup", tasks) for row in part]
         cache.update(((delta, bool(narrow)), tuple(inv)) for delta, narrow, inv in found)
-    if args.cache:
+    if args.cache and cache != loaded:
+        # a lookup the file already answered leaves it untouched
         quadforms.cache_save(args.cache, cache)
     rows = [
         f"classgroup,{delta},narrow={narrow},invariants={';'.join(map(str, inv))},h={math.prod(inv)}"

@@ -6,9 +6,9 @@ refinements, and their finite-box equidistribution checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
+from typing import NamedTuple
 
 from . import arith, quadforms
 
@@ -34,20 +34,24 @@ def delta(m: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Integer polynomial in up to three variables, kept as a sorted
-    (exponent tuple -> coefficient) table."""
-
+class _PolyFields(NamedTuple):
     nvars: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        if not (1 <= self.nvars <= MAX_VARS):
+
+class Poly(_PolyFields):
+    """Integer polynomial in up to three variables, kept as a sorted
+    (exponent tuple -> coefficient) table."""
+
+    __slots__ = ()
+
+    def __new__(cls, nvars: int, terms: tuple[tuple[tuple[int, ...], int], ...]):
+        if not (1 <= nvars <= MAX_VARS):
             raise ValueError(f"need between 1 and {MAX_VARS} variables")
-        for mono, c in self.terms:
-            if len(mono) != self.nvars or c == 0 or any(e < 0 for e in mono):
+        for mono, c in terms:
+            if len(mono) != nvars or c == 0 or any(e < 0 for e in mono):
                 raise ValueError("malformed term table")
+        return super().__new__(cls, nvars, terms)
 
     @classmethod
     def from_terms(cls, nvars: int, table: dict[tuple[int, ...], int]) -> "Poly":
@@ -393,6 +397,8 @@ def h3_level_tasks(
         raise ValueError("sign must be +1 or -1")
     if m < 1:
         raise ValueError("need m >= 1")
+    if X < 4:
+        raise ValueError("need X >= 4: no |disc| below 3 exists")
     if X - 1 > quadforms.DISC_BOUND:
         raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
     letters = dict(letters or {})

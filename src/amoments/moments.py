@@ -10,10 +10,10 @@ appears in the large-X statistical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import arith, density, quadforms, redei, selmer
 from .arith import jacobi
@@ -22,8 +22,7 @@ from .arith import jacobi
 # multiplicative weights
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """A nonnegative multiplicative weight, evaluated through omega on the
     square-free arguments these sums range over."""
 
@@ -636,8 +635,7 @@ def oscillation_experiment(X: int, z_list: list[int], scheme: str = "mu2") -> li
 # torsion-sum experiments
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     experiment: str
     setting: str
     X: int

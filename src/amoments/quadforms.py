@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 from . import arith
 
@@ -295,8 +295,7 @@ class _PosNarrow:
 # public surface
 
 
-@dataclass(frozen=True)
-class FormClassGroup:
+class FormClassGroup(NamedTuple):
     disc: int
     narrow: bool
     invariants: tuple[int, ...]
@@ -526,11 +525,16 @@ def cache_save(path: str, entries: dict[tuple[int, bool], tuple[int, ...]]) -> N
 def cache_load(path: str) -> dict[tuple[int, bool], tuple[int, ...]]:
     out: dict[tuple[int, bool], tuple[int, ...]] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            delta_s, narrow_s, inv_s = line.split("\t")
-            inv = tuple(int(x) for x in inv_s.split(",")) if inv_s else ()
-            out[(int(delta_s), bool(int(narrow_s)))] = inv
+            try:
+                delta_s, narrow_s, inv_s = line.split("\t")
+                inv = tuple(int(x) for x in inv_s.split(",")) if inv_s else ()
+                out[(int(delta_s), bool(int(narrow_s)))] = inv
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: not a 'delta<TAB>narrow<TAB>invariants' cache line"
+                ) from None
     return out

@@ -6,16 +6,15 @@ twisted kernel size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import arith
 from .arith import PrimeDiscriminant, jacobi, nonresidue, sym_to_gf2
 from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 
 
-@dataclass(frozen=True)
-class RedeiSystem:
+class RedeiSystem(NamedTuple):
     m: int
     delta: int
     primes: tuple[int, ...]
@@ -23,8 +22,7 @@ class RedeiSystem:
     matrix: Gf2Matrix
 
 
-@dataclass(frozen=True)
-class TwistedRedei:
+class TwistedRedei(NamedTuple):
     a: int
     odd_primes: tuple[int, ...]
     alpha_class: tuple[int, ...]

@@ -13,8 +13,8 @@ walked until the known dimension is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import arith
 from .arith import hilbert_symbol, jacobi, local_coords, sym_to_gf2
@@ -23,19 +23,22 @@ from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 ORACLE_BOUND = 10 ** 4
 
 
-@dataclass(frozen=True)
-class CurveData:
+class _CurveFields(NamedTuple):
     r1: int
     r2: int
     r3: int
 
-    def __post_init__(self):
-        rs = (self.r1, self.r2, self.r3)
-        if len(set(rs)) != 3:
+
+class CurveData(_CurveFields):
+    # no __slots__: omega_primes is cached in the instance __dict__
+
+    def __new__(cls, r1: int, r2: int, r3: int):
+        if len({r1, r2, r3}) != 3:
             raise ValueError("roots must be distinct")
-        g = math.gcd(math.gcd(self.r1, self.r2), self.r3)
+        g = math.gcd(math.gcd(r1, r2), r3)
         if g > 1 and not arith.is_squarefree(g):
             raise ValueError("gcd of the roots must be square-free")
+        return super().__new__(cls, r1, r2, r3)
 
     def delta(self, i: int, j: int) -> int:
         rs = (self.r1, self.r2, self.r3)
@@ -96,8 +99,7 @@ def _gf2_member(basis: list[int], vec: int) -> bool:
 # local conditions and condition maps
 
 
-@dataclass(frozen=True)
-class LocalConditions:
+class LocalConditions(NamedTuple):
     """The subgroup of (Q_v*/sq)^2 cutting out the Selmer condition at v."""
 
     v: int
@@ -174,8 +176,7 @@ def selmer_condition_kernel(curve: CurveData, t: int) -> list[tuple[int, int]]:
 # condition matrices
 
 
-@dataclass(frozen=True)
-class SelmerSystem:
+class SelmerSystem(NamedTuple):
     curve: CurveData
     t: int
     primes: tuple[int, ...]

@@ -194,10 +194,23 @@ def test_classgroup_cache(tmp_path, capsys):
     assert "classgroup,-23,narrow=0,invariants=3,h=3" in out
     text = cache.read_text()
     assert "-23\t0\t3" in text
-    # single lookups hit the cache file
+    # single lookups hit the cache file and leave it as it was
+    os.utime(cache, ns=(10 ** 9, 10 ** 9))
     code, out = run_cli(["classgroup", "--delta", "-23", "--cache", str(cache)], capsys)
     assert code == 0
     assert "invariants=3,h=3" in out
+    assert cache.read_text() == text and cache.stat().st_mtime_ns == 10 ** 9
+    # a lookup the file lacks adds it
+    code, out = run_cli(["classgroup", "--delta", "-71", "--cache", str(cache)], capsys)
+    assert code == 0
+    assert "-71\t0\t7\n" in cache.read_text()
+
+
+def test_malformed_cache_line_is_named(tmp_path, capsys):
+    cache = tmp_path / "cls.tsv"
+    cache.write_text("-3\t0\t1\n-23 0 3\n")
+    assert cli.main(["classgroup", "--delta", "-23", "--cache", str(cache)]) == 2
+    assert f"{cache}, line 2:" in capsys.readouterr().err
 
 
 def test_classgroup_sweep_does_not_recheck_fundamentality(monkeypatch, capsys):
@@ -332,11 +345,17 @@ def test_pool_is_clamped_to_pending_chunks(monkeypatch, capsys):
 
 
 # a checkpoint of `verify selmer --tmax 50 --descent-dmax 30`, cut after its
-# first phase; each phase is one chunk
+# first phase; each phase is one chunk.  Sections written before headers
+# held the task text are headed by its SHA-256.
 SELMER_CHECKPOINT = (
     "config=cabc004d683b28a7f848db6fcfa1e8c5832cf94d31c707f9d4efa0d275940951\n"
     "chunk.0=[20, []]\n"
     "config=5684a780d1cc879956ca598f41a00220eb4fad839a93f64635809faa04db96a7\n"
+)
+SELMER_CUT = (
+    "config=('selmer_kernel', 'kernel', [(0, 1, -1, 1, 50)])\n"
+    "chunk.0=[20, []]\n"
+    "config=('descent', 'descent', [(0, 1, -1, 1, 30, 1)])\n"
 )
 
 
@@ -346,13 +365,18 @@ def test_one_chunk_phases_resume_identically_at_two_threads(tmp_path):
     assert cli.main(["--threads", "1", "--out", str(ref), "--checkpoint", str(ref_cp), *argv]) == 0
     cut = tmp_path / "cut.ckpt"
     assert cli.main(["--threads", "1", "--checkpoint", str(cut), "--max-chunks", "1", *argv]) == 0
-    # the section signatures are those of earlier versions, whose
-    # checkpoints therefore still resume
-    assert cut.read_text() == SELMER_CHECKPOINT
+    assert cut.read_text() == SELMER_CUT
     out = tmp_path / "out.csv"
     assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(cut), *argv]) == 0
     assert out.read_bytes() == ref.read_bytes()
     assert cut.read_bytes() == ref_cp.read_bytes()
+    # a checkpoint of an earlier version still resumes, and keeps its headers
+    old = tmp_path / "old.ckpt"
+    old.write_text(SELMER_CHECKPOINT)
+    out = tmp_path / "old.csv"
+    assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(old), *argv]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert old.read_text() == SELMER_CHECKPOINT + ref_cp.read_text().splitlines(keepends=True)[-1]
 
 
 # prints the exit code and which of these modules the run loaded
@@ -363,7 +387,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, sorted({"hashlib", "_hashlib", "multiprocessing"} & set(sys.modules)))
+heavy = {"hashlib", "_hashlib", "multiprocessing", "dataclasses", "inspect"}
+print(code, sorted(heavy & set(sys.modules)))
 """
 
 
@@ -373,9 +398,12 @@ print(code, sorted({"hashlib", "_hashlib", "multiprocessing"} & set(sys.modules)
         ["--help"],
         ["moment", "class", "--x", "200"],
         ["--threads", "2", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"],
+        # a new checkpoint needs no hash
+        ["--checkpoint", "CKPT", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"],
     ],
 )
-def test_runs_without_pool_or_checkpoint_load_neither(argv):
+def test_runs_without_pool_or_checkpoint_load_neither(argv, tmp_path):
+    argv = [str(tmp_path / "run.ckpt") if a == "CKPT" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
@@ -525,6 +553,13 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["identity", "first-moment", "--x", "-5"],
         ["identity", "first-moment", "--x", "0"],
         ["identity", "k-moment", "--x", "0"],
+        ["verify", "redei", "--dmax", "2"],
+        ["verify", "redei", "--dmax", "-5"],
+        ["verify", "redei", "--dmax", "2", "--sign", "pos"],
+        ["verify", "redei", "--dmax", "100", "--sign", "both", "--dmax-pos", "2"],
+        ["classgroup", "--dmax", "2"],
+        ["density", "h3level", "--x", "-7"],
+        ["density", "h3level", "--x", "3"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):

@@ -20,6 +20,7 @@ SRC = Path(amoments.__file__).resolve().parent
 ORACLE_HELPERS = {
     "CurveData",
     "ORACLE_BOUND",
+    "_CurveFields",
     "_PADIC_IMAGES",
     "_coords_dim",
     "_gf2_insert",
