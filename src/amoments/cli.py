@@ -261,24 +261,30 @@ def emit(ctx, header: str, rows: list[str]) -> None:
 # subcommand implementations
 
 
-def _disc_ranges(ctx, dmax: int) -> list[tuple[int, int]]:
+def _disc_ranges(ctx, dmax: int, least: int = 3) -> list[tuple[int, int]]:
     """The |disc| chunks [3, dmax] of a class-group sweep, after checking
-    that the range holds a discriminant and keeps to the oracle's bound."""
-    if dmax < 3:
-        raise ValueError(f"need a |disc| bound >= 3, got {dmax}")
+    that the range holds its least discriminant (3, or 5 for a sweep of real
+    fields only) and keeps to the oracle's bound."""
+    if dmax < least:
+        raise ValueError(f"need a |disc| bound >= {least}, got {dmax}")
     if dmax > quadforms.DISC_BOUND:
         raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
     return split_ranges(3, dmax, ctx.chunk)
 
 
 def cmd_verify_redei(ctx, args) -> int:
+    if args.dmax_pos is not None and args.sign != "both":
+        raise ValueError(f"--dmax-pos bounds the real phase of --sign both; --sign {args.sign} sweeps to --dmax")
     phases = {
         "neg": [("neg", -1, args.dmax)],
         "pos": [("pos", 1, args.dmax)],
-        "both": [("neg", -1, args.dmax), ("pos", 1, args.dmax_pos)],
+        "both": [("neg", -1, args.dmax), ("pos", 1, 10 ** 4 if args.dmax_pos is None else args.dmax_pos)],
     }[args.sign]
-    # every bound is checked before the first phase sweeps
-    tasks = [[(lo, hi, sign) for lo, hi in _disc_ranges(ctx, dmax)] for _, sign, dmax in phases]
+    # every bound is checked before the first phase sweeps; 5 is the least
+    # real fundamental discriminant
+    tasks = [
+        [(lo, hi, sign) for lo, hi in _disc_ranges(ctx, dmax, 3 if sign < 0 else 5)] for _, sign, dmax in phases
+    ]
     rows = []
     status = 0
     for (name, sign, dmax), phase_tasks in zip(phases, tasks):
@@ -526,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="target", required=True)
     vr = vsub.add_parser("redei")
     vr.add_argument("--dmax", type=int, required=True)
-    vr.add_argument("--dmax-pos", type=int, default=10 ** 4)
+    vr.add_argument("--dmax-pos", type=int, default=None, help="real bound of --sign both (default 10000)")
     vr.add_argument("--sign", choices=("neg", "pos", "both"), default="neg")
     vr.set_defaults(func=cmd_verify_redei)
     vs = vsub.add_parser("selmer")

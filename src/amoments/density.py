@@ -399,6 +399,8 @@ def h3_level_tasks(
         raise ValueError("need m >= 1")
     if X < 4:
         raise ValueError("need X >= 4: no |disc| below 3 exists")
+    if sign > 0 and X < 6:
+        raise ValueError("need X >= 6 with sign +1: the least real fundamental discriminant is 5")
     if X - 1 > quadforms.DISC_BOUND:
         raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
     letters = dict(letters or {})

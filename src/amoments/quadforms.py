@@ -5,15 +5,22 @@ Imaginary discriminants use the bijection between reduced forms and classes;
 real discriminants use cycles of reduced forms under the reduction operator
 (narrow classes), with the ordinary group the quotient by the class of the
 negated principal form.  One reader, `_invariants`, takes a group's structure
-from its power maps.  `class_group`, the per-discriminant reference, feeds it
-generic compositions and the explicit quotient; the |D|-range sweeps
-(`torsion_sweep`, and `classgroup --dmax` in the CLI) feed it, or the torsion
-counts, one tabulated squaring map per discriminant."""
+from its power maps; a Sylow part of prime order p is Z/p and needs none.
+`class_group`, the per-discriminant reference, feeds it generic compositions
+and the explicit quotient over reduced forms found by divisor enumeration;
+the |D|-range sweeps (`torsion_sweep`, and `classgroup --dmax` in the CLI)
+feed it, or the torsion counts, one tabulated squaring map per discriminant.
+They tabulate the reduced forms of a whole range in one pass, bucketed by
+discriminant: for D < 0 over 0 <= b <= a <= c with |D| = 4ac - b^2, for
+D > 0 over (b, |a|) with D = b^2 + 4|a||c|, where a form with ac < 0 and
+b > 0 is reduced exactly when ||a| - |c|| < b."""
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections import deque
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
@@ -23,6 +30,12 @@ from . import arith
 DISC_BOUND = 10 ** 7
 
 Form = tuple[int, int, int]
+
+# A reduced form (a, b, c) of a discriminant D is kept as the packed key
+# a * _KEY + b, with c = (b^2 - D) / 4a.  For every |D| <= DISC_BOUND,
+# |b| <= a < _KEY / 2 when D < 0, and |a|, b < sqrt(D) < _KEY / 2 when D > 0,
+# where 0 < b makes b = key & (_KEY - 1).
+_KEY = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +102,11 @@ def _pos_window(t: int, a: int, sD: int) -> int:
     return r
 
 
-def _is_reduced_pos(a: int, b: int, c: int, D: int) -> bool:
-    if b <= 0:
-        return False
-    if b * b >= D:
-        return False
-    t = 2 * abs(a)
-    if (t + b) ** 2 <= D:
-        return False
-    if t > b and (t - b) ** 2 >= D:
-        return False
-    return True
+def _is_reduced_pos(a: int, b: int, c: int) -> bool:
+    """0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, for D = b^2 - 4ac > 0 not a
+    square: b < sqrt(D) needs ac < 0, and then D = b^2 + 4|a||c| makes the
+    second condition ||a| - |c|| < b (see _pos_forms)."""
+    return b > 0 and a * c < 0 and abs(abs(a) - abs(c)) < b
 
 
 def _rho_pos(f: Form, D: int, sD: int) -> Form:
@@ -113,7 +120,7 @@ def _reduce_pos(a: int, b: int, c: int, D: int, sD: int) -> Form:
     c = (b2 * b2 - D) // (4 * a)
     f = (a, b2, c)
     for _ in range(4 * max(abs(a), 2).bit_length() + 16):
-        if _is_reduced_pos(*f, D):
+        if _is_reduced_pos(*f):
             return f
         f = _rho_pos(f, D, sD)
     raise AssertionError(f"reduction did not terminate for disc {D}")
@@ -218,12 +225,16 @@ def _invariants(sq: dict, mul, K: tuple) -> tuple[int, ...]:
     group G given by its squaring map sq (element -> its square; the keys are
     the elements), a composition mul, and a subgroup K of order 1 or 2.
 
-    For each p | #G/#K the p-power map is built once and iterated: the j-th
+    The p-part is cyclic of order p when p divides #G/#K once.  For each
+    other p | #G/#K the p-power map is built once and iterated: the j-th
     jump of the counts #(G/K)[p^j] is p^(a_j), and the conjugate partition of
     (a_1, a_2, ...) gives the p-power cyclic orders (Cohen, GTM 138, 2.4)."""
     n = len(sq) // len(K)
     parts: dict[int, list[int]] = {}
-    for p, _ in arith.factor(n).factors if n > 1 else ():
+    for p, k in arith.factor(n).factors if n > 1 else ():
+        if k == 1:
+            parts[p] = [1]  # a group of order p is cyclic (Lagrange)
+            continue
         pw = sq if p == 2 else {x: _power(x, p, sq, mul) for x in sq}
         jumps = []
         prev = 1
@@ -265,27 +276,55 @@ def _torsion_counts(sq: dict, K: tuple, ns: tuple[int, ...]) -> tuple[int, ...]:
 
 class _PosNarrow:
     """Cycle bookkeeping for a real discriminant's narrow class group: the
-    classes are the cycle indices i, reps[i] the least form of cycle i."""
+    classes are the cycle indices i, reps[i] a reduced form of cycle i and
+    neg[i] the cycle of its negated forms (-a, b, -c), the class of s * x for
+    s the class of the negated principal form.  The reduced forms come as the
+    packed keys of those with a > 0 (by default from reduced_forms_pos);
+    cycle_id maps the key of every reduced form, a of either sign, to its
+    cycle."""
 
-    def __init__(self, D: int):
+    def __init__(self, D: int, keys=None):
+        if keys is None:
+            keys = [a * _KEY + b for a, b, _ in reduced_forms_pos(D) if a > 0]
         self.D = D
-        self.sD = math.isqrt(D)
-        self.cycle_id: dict[Form, int] = {}
+        sD = self.sD = math.isqrt(D)
+        cycle_id: dict[int, int] = {}
+        self.cycle_id = cycle_id
         self.reps: list[Form] = []
-        for f in reduced_forms_pos(D):
-            if f in self.cycle_id:
+        self.neg: list[int] = []
+        for key in keys:
+            if key in cycle_id:
                 continue
-            g = f
-            while g not in self.cycle_id:
-                self.cycle_id[g] = len(self.reps)
-                g = _rho_pos(g, D, self.sD)
-            self.reps.append(f)  # forms come sorted, so f is its cycle's least
+            i = len(self.reps)
+            a0, b0 = divmod(key, _KEY)
+            c0 = (b0 * b0 - D) // (4 * a0)
+            cycle = []
+            k, b, c = key, b0, c0
+            while True:
+                cycle.append(k)
+                # rho of a reduced form: |c| < sqrt(D), so the new b is the
+                # residue of -b mod 2|c| in (sqrt(D) - 2|c|, sqrt(D))
+                r = sD - (sD + b) % (2 * abs(c))
+                k = c * _KEY + r
+                if k == key:
+                    break
+                b, c = r, (r * r - D) // (4 * c)
+            cycle_id.update(dict.fromkeys(cycle, i))
+            self.reps.append((a0, b0, c0))
+            if 2 * b0 - key in cycle_id:  # the cycle holds its negated forms
+                self.neg.append(i)
+            else:
+                # the key of (-a, b, -c) is 2b - key
+                cycle_id.update(dict.fromkeys([2 * (x & _KEY - 1) - x for x in cycle], i + 1))
+                self.reps.append((-a0, b0, -c0))
+                self.neg += [i + 1, i]
         b0 = D & 1
         self.e = self._class_of((1, b0, (b0 * b0 - D) // 4))
         self.negated_principal = self._class_of((-1, b0, (D - b0 * b0) // 4))
 
     def _class_of(self, f: Form) -> int:
-        return self.cycle_id[_reduce_pos(*f, self.D, self.sD)]
+        a, b, _ = _reduce_pos(*f, self.D, self.sD)
+        return self.cycle_id[a * _KEY + b]
 
     def mul(self, i: int, j: int) -> int:
         return self._class_of(_compose(self.reps[i], self.reps[j], self.D))
@@ -377,12 +416,6 @@ def fundamental_unit_norm(delta: int) -> int:
 
 # ---------------------------------------------------------------------------
 # sweep workers (picklable, deterministic)
-
-
-# A reduced form (a, b, c) of a discriminant D < 0 is kept as the packed key
-# a * _KEY + b, with c = (b^2 - D) / 4a; |b| <= a < _KEY / 2 for every
-# |D| <= DISC_BOUND.
-_KEY = 1 << 16
 
 
 def torsion_sweep(lo_abs: int, hi_abs: int, torsion_ns: tuple[int, ...], sign: int) -> list[tuple]:
@@ -481,13 +514,65 @@ def _neg_tables(lo_abs: int, hi_abs: int):
         yield -absd, om, sq, partial(_mul_neg, -absd), e, e
 
 
+def _pos_forms(lo: int, hi: int):
+    """(delta, omega, keys) for each fundamental delta > 0 with lo <= delta <= hi,
+    by delta: keys holds the packed reduced forms (a, b, c) of delta with a > 0.
+
+    With A = |a| and C = |c|, a form with ac < 0 has delta = b^2 + 4AC, and it
+    is reduced (0 < b < sqrt(delta) and |sqrt(delta) - 2A| < b) exactly when
+    b > 0 and |A - C| < b: squaring |sqrt(delta) - 2A| < b gives A + C <
+    sqrt(delta), and squaring that gives (A - C)^2 < b^2.  So the forms of the
+    whole range are tabulated in one pass over (b, A), with C in
+    (A - b, A + b) stepping delta by 4A, bucketed by discriminant as in
+    _neg_tables.  Each (A, b, -C) stands for (-A, b, C) too.
+    """
+    lo = max(lo, 5)
+    if hi < lo:
+        return
+    omegas = dict(arith.fundamental_discriminants(lo, hi, 1))
+    # a 32-bit key suffices: |a|, b < sqrt(DISC_BOUND) < 2^12; other
+    # discriminants share a bucket that keeps nothing
+    sink = deque(maxlen=0)
+    buckets: list = [sink] * (hi - lo + 1)
+    for delta in omegas:
+        buckets[delta - lo] = array("i")
+    for b in range(1, math.isqrt(hi - 4) + 1):
+        bb = b * b
+        # A from the least with 4A(A + b - 1) >= lo - b^2 (C = A + b - 1 at
+        # its largest) to the greatest with 4A max(A - b + 1, 1) <= hi - b^2
+        t = (b - 1) ** 2 + max(lo - bb, 0)
+        r = math.isqrt(t)
+        A_lo = max(1, (r + (r * r < t) - b + 2) // 2)
+        A_hi = (math.isqrt((b - 1) ** 2 + hi - bb) + b - 1) // 2
+        if A_hi < b:
+            A_hi = (hi - bb) // 4
+        for A in range(A_lo, A_hi + 1):
+            step = 4 * A
+            n = bb + step * (A - b + 1 if A > b else 1)
+            if n < lo:
+                n += step * -(-(lo - n) // step)
+            top = min(hi, bb + step * (A + b - 1))
+            if n <= top:
+                key = A * _KEY + b
+                for bucket in buckets[n - lo : top - lo + 1 : step]:
+                    bucket.append(key)
+    for delta, om in omegas.items():
+        keys = buckets[delta - lo]
+        buckets[delta - lo] = None  # free each bucket once its discriminant is done
+        yield delta, om, keys
+
+
 def _pos_tables(lo: int, hi: int):
     """(delta, omega, sq, mul, e, s) for each fundamental delta > 0 with
-    lo <= delta <= hi: the narrow classes are _PosNarrow cycle indices, sq
-    their squares by NUDUPL."""
-    for delta, om in arith.fundamental_discriminants(lo, hi, 1):
-        ctx = _PosNarrow(delta)
-        sq = {i: ctx._class_of(_square(*f, delta)) for i, f in enumerate(ctx.reps)}
+    lo <= delta <= hi: the narrow classes are _PosNarrow cycle indices of the
+    forms of _pos_forms, sq their squares by NUDUPL.  A class and its product
+    with s (s^2 = e) have the same square, so each pair is squared once."""
+    for delta, om, keys in _pos_forms(lo, hi):
+        ctx = _PosNarrow(delta, keys)
+        sq: dict[int, int] = {}
+        for i, f in enumerate(ctx.reps):
+            j = ctx.neg[i]
+            sq[i] = sq[j] if j < i else ctx._class_of(_square(*f, delta))
         yield delta, om, sq, ctx.mul, ctx.e, ctx.negated_principal
 
 

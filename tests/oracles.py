@@ -256,3 +256,72 @@ def torsor_solvable_qp(b1: int, b2: int, c1: int, c2: int, p: int) -> bool:
         if len(level) > 200000:
             raise AssertionError("torsor search width exploded")
     return False
+
+
+def class_group_by_orders(delta: int, narrow: bool = False) -> tuple[int, ...]:
+    """Cyclic orders d1 | d2 | ... (nontrivial) of the class group of a
+    fundamental discriminant (the narrow group when narrow and delta > 0),
+    read from the orders of its classes.  Each order comes from repeated
+    generic composition and reduction, so no power map, no squaring table
+    and no genus theory is used.  A real class is a cycle of reduced forms
+    under the generic reduction step rho; an ordinary real class is a narrow
+    class joined with its product by the negated principal form."""
+    from amoments import quadforms as qf
+
+    if delta < 0:
+        identity = {qf.principal_form_neg(delta)}
+        classes = qf.reduced_forms_neg(delta)
+
+        def reduce(f):
+            return qf._reduce_neg(*f)
+    else:
+        sD = math.isqrt(delta)
+
+        def reduce(f):
+            return qf._reduce_pos(*f, delta, sD)
+
+        def cycle(f):
+            out = [f]
+            while (g := qf._rho_pos(out[-1], delta, sD)) != f:
+                out.append(g)
+            return out
+
+        b0 = delta & 1
+        s = reduce((-1, b0, (delta - b0 * b0) // 4))
+        identity = set(cycle(reduce((1, b0, (b0 * b0 - delta) // 4))))
+        if not narrow:
+            identity |= set(cycle(s))
+        classes, seen = [], set()
+        for f in qf.reduced_forms_pos(delta):
+            if f not in seen:
+                classes.append(f)
+                seen.update(cycle(f))
+                if not narrow:
+                    seen.update(cycle(reduce(qf._compose(f, s, delta))))
+
+    orders = []
+    for f in classes:
+        g, k = f, 1
+        while reduce(g) not in identity:
+            if k == len(classes):
+                raise AssertionError(f"a class of {delta} has no order dividing h")
+            g, k = reduce(qf._compose(g, f, delta)), k + 1
+        orders.append(k)
+    # for each p | h, r_j = log_p(#G[p^j] / #G[p^(j-1)]) cyclic factors have
+    # p-part at least p^j, and #G[p^j] counts the classes of order dividing p^j
+    h = len(orders)
+    primes = [p for p in range(2, h + 1) if h % p == 0 and all(p % q for q in range(2, p))]
+    ranks = {}
+    for p in primes:
+        ranks[p], prev, j = [], 1, 1
+        while (cnt := sum(1 for o in orders if p ** j % o == 0)) > prev:
+            r, ratio = 0, cnt // prev
+            while ratio > 1:
+                ratio //= p
+                r += 1
+            ranks[p].append(r)
+            prev, j = cnt, j + 1
+    rank = max((r[0] for r in ranks.values()), default=0)
+    return tuple(sorted(
+        math.prod(p ** sum(1 for r in rs if r >= t) for p, rs in ranks.items()) for t in range(1, rank + 1)
+    ))

@@ -560,6 +560,13 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["classgroup", "--dmax", "2"],
         ["density", "h3level", "--x", "-7"],
         ["density", "h3level", "--x", "3"],
+        ["verify", "redei", "--dmax", "4", "--sign", "pos"],
+        ["verify", "redei", "--dmax", "100", "--sign", "both", "--dmax-pos", "4"],
+        ["density", "h3level", "--x", "5", "--sign", "pos"],
+        ["verify", "redei", "--dmax", "30", "--sign", "pos", "--dmax-pos", "2"],
+        ["verify", "redei", "--dmax", "30", "--sign", "pos", "--dmax-pos", "30"],
+        ["verify", "redei", "--dmax", "30", "--sign", "neg", "--dmax-pos", "100"],
+        ["verify", "redei", "--dmax", "30", "--dmax-pos", "100"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -568,6 +575,24 @@ def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
     assert cli.main(["--threads", "1", *argv]) == 2
     assert not started
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        # the least real fundamental discriminant is 5
+        (["verify", "redei", "--dmax", "5", "--sign", "pos"], [5]),
+        (["verify", "redei", "--dmax", "3", "--sign", "both", "--dmax-pos", "5"], [3, 5]),
+        # --sign both reads --dmax-pos, 10^4 when it is absent
+        (["verify", "redei", "--dmax", "30", "--sign", "both"], [30, 10 ** 4]),
+        (["density", "h3level", "--x", "6", "--sign", "pos"], [5]),
+    ],
+)
+def test_least_real_bounds_are_accepted(argv, bounds, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "run_chunks", lambda ctx, phase, worker, tasks: started.append(tasks) or [])
+    assert cli.main(["--threads", "1", *argv]) == 0
+    assert [tasks[-1][1] for tasks in started] == bounds
 
 
 def test_poly_text_is_not_run_as_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from oracles import class_group_by_orders
 
 from amoments import arith, cli, quadforms
 from amoments.quadforms import (
@@ -243,12 +244,43 @@ def test_neg_torsion_sweep_chunks_concatenate():
 
 def test_pos_narrow_sweep_chunks_concatenate():
     ns = (2, 3, 4)
-    whole = pos_narrow_sweep(3, 3000, ns)
-    for chunk in (1, 97, 1000, 2500):
-        parts = []
-        for lo, hi in arith.split_ranges(3, 3000, chunk, (2000,)):
-            parts += pos_narrow_sweep(lo, hi, ns)
-        assert parts == whole, chunk
+    # from 3, and from above 3 with every cut off round numbers
+    for lo, hi, cut, chunks in ((3, 3000, 2000, (1, 97, 1000, 2500)), (1237, 4211, 2999, (7, 389, 1000))):
+        whole = pos_narrow_sweep(lo, hi, ns)
+        for chunk in chunks:
+            parts = []
+            for a, b in arith.split_ranges(lo, hi, chunk, (cut,)):
+                parts += pos_narrow_sweep(a, b, ns)
+            assert parts == whole, (lo, chunk)
+
+
+def test_tabulated_real_forms_match_reference():
+    # every positive fundamental delta <= 2 * 10^4, over ranges whose ends
+    # are off round numbers; a key with a > 0 stands for (a, b, c) and (-a, b, -c)
+    bounds = ((1, 4), (5, 5), (6, 977), (978, 4099), (4100, 13001), (13002, 2 * 10 ** 4))
+    tables = [t for lo, hi in bounds for t in quadforms._pos_forms(lo, hi)]
+    assert [t[:2] for t in tables] == list(arith.fundamental_discriminants(3, 2 * 10 ** 4, 1))
+    for delta, _, keys in tables:
+        forms = []
+        for key in keys:
+            a, b = divmod(key, quadforms._KEY)
+            c = (b * b - delta) // (4 * a)
+            forms += [(a, b, c), (-a, b, -c)]
+        assert sorted(forms) == quadforms.reduced_forms_pos(delta), delta
+
+
+def test_class_group_matches_order_oracle():
+    # the structure reader (and its shortcut for Sylow parts of prime order)
+    # against invariants read from class orders alone, for every fundamental
+    # |delta| <= 3000; the narrow group of an imaginary field is the ordinary one
+    for sign in (-1, 1):
+        for delta, _ in arith.fundamental_discriminants(3, 3000, sign):
+            for narrow in (False, True):
+                want = class_group_by_orders(delta, narrow)
+                assert class_group(delta, narrow).invariants == want, (delta, narrow)
+    for delta, narrow, want in ((-4027, False, (3, 3)), (-3299, False, (3, 9)), (2981, False, (3,)),
+                                (2981, True, (6,))):
+        assert class_group(delta, narrow).invariants == class_group_by_orders(delta, narrow) == want
 
 
 def test_neg_torsion_sweep_rejects_other_orders():
