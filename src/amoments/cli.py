@@ -215,7 +215,10 @@ WORKERS = {
     "t12": (moments, "theorem12_chunk"),
     "t11": (moments, "theorem11_chunk"),
     "h3": (density, "h3_level_chunk"),
-    "charsum": (moments, "oscillation_chunk"),
+    # pairs summed once by reciprocity; the ordered-pair chunks of earlier
+    # checkpoints ran under the name "charsum" and are not merged
+    "charsum_pairs": (moments, "oscillation_chunk"),
+    "moment": (moments, "weighted_moment_chunk"),
     "classgroup": (_CLI, "_w_classgroup"),
 }
 
@@ -381,7 +384,9 @@ def cmd_identity_k_moment(ctx, args) -> int:
 def cmd_moment(ctx, args) -> int:
     w = moments.weight_by_name(args.weight)
     curve = selmer.CurveData(*_parse_curve(args.curve)) if args.target == "selmer" else None
-    rep = moments.weighted_moment_report(args.x, args.k, w, curve)
+    tasks = moments.weighted_moment_tasks(args.x, (args.k,), curve, ctx.chunk)
+    parts = run_chunks(ctx, "moment", "moment", tasks)
+    rep = moments.weighted_moment_reduce(args.x, (args.k,), w, curve, parts)[args.k]
     emit(ctx, moments.CSV_HEADER, [rep.csv_row()])
     return EXIT_OK
 
@@ -405,7 +410,7 @@ def cmd_unlinked(ctx, args) -> int:
 def cmd_charsum(ctx, args) -> int:
     z_list = [int(z) for z in args.z.split(",")]
     tasks = moments.oscillation_tasks(args.x, z_list, args.scheme, ctx.chunk)
-    parts = run_chunks(ctx, "charsum", "charsum", tasks)
+    parts = run_chunks(ctx, "charsum", "charsum_pairs", tasks)
     sums = moments.oscillation_reduce(args.x, z_list, args.scheme, tasks, parts)
     rows = [
         f"charsum,{args.scheme},{args.x},{r['z']},{r['sum']},{r['normalized']:.15g}"
@@ -451,8 +456,11 @@ def cmd_density(ctx, args) -> int:
         letters = {}
         if args.letters:
             for item in args.letters.split(","):
-                q, e = item.split(":")
-                letters[int(q)] = int(e)
+                try:
+                    q, e = item.split(":")
+                    letters[int(q)] = int(e)
+                except ValueError:
+                    raise ValueError(f"--letters item {item!r} is not of the form q:e, for example 5:1") from None
         sign = -1 if args.sign == "neg" else 1
         tasks = density.h3_level_tasks(args.x, args.m, letters, sign, ctx.chunk)
         parts = run_chunks(ctx, "h3level", "h3", tasks)

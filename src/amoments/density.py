@@ -217,6 +217,8 @@ def check_lemma_2_10(P: Poly, pmax: int, B: int, theta: float = 0.2) -> dict:
         raise ValueError("polynomial must be separable of degree >= 1")
     n = P.nvars
     odd_primes = [p for p in arith.small_primes(pmax) if 2 < p <= pmax]
+    if not odd_primes:
+        raise ValueError("no primes below the cutoff")
     c1 = Fraction(0)
     c2 = Fraction(0)
     c5 = Fraction(0)

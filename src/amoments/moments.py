@@ -10,9 +10,12 @@ appears in the large-X statistical reports.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, zip_longest
+from operator import mul
 from typing import NamedTuple
 
 from . import arith, density, quadforms, redei, selmer
@@ -191,11 +194,12 @@ def max_unlinked(setting: str, k: int) -> tuple[int, list[tuple[int, ...]]]:
 # square-free enumeration helpers
 
 
-def odd_squarefree_with_primes(X: int, coprime_to: int = 1) -> list[tuple[int, tuple[int, ...]]]:
-    """(m, prime tuple) for odd square-free m <= X coprime to the given modulus."""
+def odd_squarefree_with_primes(X: int, coprime_to: int = 1, lo: int = 1) -> list[tuple[int, tuple[int, ...]]]:
+    """(m, prime tuple) for odd square-free lo <= m <= X coprime to the given
+    modulus."""
     spf = arith.spf_cached(X)
     out = []
-    for m in range(1, X + 1, 2):
+    for m in range(lo | 1, X + 1, 2):
         if math.gcd(m, coprime_to) != 1:
             continue
         fac = arith.factor_by_spf(m, spf)
@@ -380,12 +384,12 @@ def _expansion_profile(
     return out
 
 
-def _twist_families(X: int, curve: selmer.CurveData | None):
-    """(m, omega(m), kernel sizes over the twist classes of m) for the odd
-    square-free m <= X: class-group twists, or with a curve the selmer twists
-    of the m coprime to the bad product."""
+def _twist_families(X: int, curve: selmer.CurveData | None, lo: int = 1):
+    """(m, omega(m), kernel sizes over the 2^omega(m) twist classes of m) for
+    the odd square-free lo <= m <= X: class-group twists, or with a curve the
+    selmer twists of the m coprime to the bad product."""
     coprime_to = 1 if curve is None else 2 * curve.omega
-    for m, primes in odd_squarefree_with_primes(X, coprime_to):
+    for m, primes in odd_squarefree_with_primes(X, coprime_to, lo):
         sizes = redei.all_kernel_sizes(m) if curve is None else selmer.g_r_all_eps(curve, m)
         yield m, len(primes), sizes
 
@@ -544,7 +548,7 @@ def class_pre_average_expansion(X: int, k: int, weight: Weight) -> Fraction:
 
 def oscillation_tasks(X: int, z_list: list[int], scheme: str, chunk: int) -> list[tuple]:
     """Chunk tasks (X, z, lo, hi, scheme) of the oscillation sums: for each
-    distinct z, the outer variable m1 over (z, X // (z + 1)] in ranges of at
+    distinct z, the larger factor m1 over (z, X // (z + 1)] in ranges of at
     most `chunk`."""
     if not 2 <= X <= 10 ** 7:
         raise ValueError("supports 2 <= X <= 10^7")
@@ -559,40 +563,74 @@ def oscillation_tasks(X: int, z_list: list[int], scheme: str, chunk: int) -> lis
     ]
 
 
-# square-free table of the last X, so each process sieves once per X
-_CHARSUM_SIEVES: dict[int, bytearray] = {}
+def _residue_tables(n: int) -> tuple[dict[int, array], dict[int, int]]:
+    """({m: signed bytes of (r/m) for 0 <= r < m}, {m: omega(m)}) for the odd
+    square-free m <= n.  A prime's table marks its squares; a composite
+    p * m' multiplies the tables of p and m' tiled to length m."""
+    spf = arith.spf_cached(n)
+    tables = {1: array("b", [1])}
+    omega = {1: 0}
+    for m in range(3, n + 1, 2):
+        p = spf[m]
+        rest = m // p
+        if rest == 1:
+            t = array("b", [-1]) * p
+            t[0] = 0
+            for x in range(1, p // 2 + 1):
+                t[x * x % p] = 1
+        elif rest in tables and rest % p:
+            t = array("b", map(mul, tables[p] * rest, tables[rest] * p))
+        else:
+            continue
+        tables[m] = t
+        omega[m] = omega[rest] + 1
+    return tables, omega
+
+
+# (square-free sieve to X, residue tables to sqrt(X)) of the last X, so each
+# process builds them once per X
+_CHARSUM_SIEVES: dict[int, tuple] = {}
 
 
 def oscillation_chunk(X: int, z: int, lo: int, hi: int, scheme: str) -> int:
-    """Sum of w(m1) w(m2) (m1/m2) over odd square-free m1 in [lo, hi] and
-    m2, both above z, with m1 m2 <= X; w is 1 (mu2) or 2^omega (tau)."""
+    """Sum of w(m1) w(m2) (m1/m2) over the ordered pairs of odd square-free
+    m1, m2 above z with m1 m2 <= X whose larger entry lies in [lo, hi]; w is
+    1 (mu2) or 2^omega (tau).
+
+    By reciprocity (m1/m2) + (m2/m1) is 2 (m1/m2) unless m1 = m2 = 3 mod 4,
+    where it is 0, and the diagonal gives 0.  So each unordered pair
+    m2 < m1 with m1 or m2 = 1 mod 4 is read once, as T_m2[m1 mod m2], and
+    counted twice."""
     if X not in _CHARSUM_SIEVES:
         _CHARSUM_SIEVES.clear()
-        _CHARSUM_SIEVES[X] = arith.squarefree_sieve(X)
-    sf = _CHARSUM_SIEVES[X]
-    spf = arith.spf_cached(X) if scheme == "tau" else None
-    jac = jacobi
+        _CHARSUM_SIEVES[X] = (arith.squarefree_sieve(X), *_residue_tables(math.isqrt(X)))
+    sf, tables, omega = _CHARSUM_SIEVES[X]
+    start = lo | 1
+    m1s = list(compress(range(start, hi + 1, 2), sf[start : hi + 1 : 2]))
+    ones = [m for m in m1s if m & 3 == 1]
+    tau = scheme == "tau"
+    if tau:
+        spf = arith.spf_cached(hi)
+        w1s = [1 << len(arith.factor_by_spf(m, spf)) for m in m1s]
+        w_ones = [w for m, w in zip(m1s, w1s) if m & 3 == 1]
+    else:
+        w1s = w_ones = None
     total = 0
-    m1 = max(lo, z + 1)
-    if m1 % 2 == 0:
-        m1 += 1
-    start2 = z + 1 + ((z + 1) % 2 == 0)
-    while m1 <= hi:
-        if m1 * (z + 1) <= X and sf[m1]:
-            w1 = 1 if scheme == "mu2" else 1 << len(arith.factor_by_spf(m1, spf))
-            lim = X // m1
-            for m2 in range(start2, lim + 1, 2):
-                if sf[m2]:
-                    if scheme == "mu2":
-                        total += w1 * jac(m1 % m2, m2)
-                    else:
-                        total += (
-                            w1
-                            * (1 << len(arith.factor_by_spf(m2, spf)))
-                            * jac(m1 % m2, m2)
-                        )
-        m1 += 2
-    return total
+    for m2 in range((z + 1) | 1, min(hi - 1, X // lo, math.isqrt(X)) + 1, 2):
+        t = tables.get(m2)
+        if t is None:
+            continue
+        # every m1 when m2 = 1 mod 4, else the m1 = 1 mod 4
+        ms, ws = (m1s, w1s) if m2 & 3 == 1 else (ones, w_ones)
+        a = bisect_right(ms, m2)
+        b = bisect_right(ms, X // m2)
+        if a < b:
+            symbols = map(t.__getitem__, map(m2.__rmod__, ms[a:b]))
+            if tau:
+                total += (1 << omega[m2]) * sum(map(mul, ws[a:b], symbols))
+            else:
+                total += sum(symbols)
+    return 2 * total
 
 
 def oscillation_reduce(X: int, z_list: list[int], scheme: str, tasks: list[tuple], parts: list[int]) -> list[dict]:
@@ -770,6 +808,8 @@ def theorem11_chunk(P, lo: int, hi: int, curve: selmer.CurveData, k: int) -> int
 def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk: int) -> list[tuple]:
     """Chunk tasks (P, lo, hi, curve, k) of theorem11_experiment: t from
     -max(B) to max(B) in ranges of at most `chunk`, cut at every -B and B."""
+    if P.is_zero():
+        raise ValueError("need a nonzero polynomial")
     if max(B_list) > 10 ** 4 or min(B_list) < 0 or P.nvars != 1 or P.degree() > 3:
         raise ValueError("supports one variable, degree <= 3, 0 <= B <= 10^4")
     if k < 0:
@@ -797,24 +837,38 @@ def theorem11_experiment(P, curve: selmer.CurveData, B_list: list[int], k: int =
     return theorem11_reduce(B_list, k, tasks, [theorem11_chunk(*t) for t in tasks])
 
 
-def weighted_moment_profile(
-    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None = None
-) -> dict[int, MomentReport]:
-    """Weighted moments with the power-of-average twist statistic for
-    several exponents in one sweep, normalized by X/log X times the Euler
-    factor product: class-group twists, or with a curve its selmer twists."""
+def weighted_moment_tasks(
+    X: int, ks: tuple[int, ...], curve: selmer.CurveData | None, chunk: int
+) -> list[tuple]:
+    """Chunk tasks (lo, hi, ks, curve) of weighted_moment_profile: m from 1
+    to X in ranges of at most `chunk`."""
     if X < 2:
         raise ValueError("need X >= 2")
     if X > arith.PRIME_TABLE_BOUND:
         raise ValueError(f"the Euler product needs X <= {arith.PRIME_TABLE_BOUND}")
     if any(k < 0 for k in ks):
         raise ValueError("need k >= 0")
-    totals = {k: Fraction(0) for k in ks}
-    for _, om, sizes in _twist_families(X, curve):
-        avg = Fraction(sum(sizes), len(sizes))
-        fm = weight.of_omega(om)
-        for k in ks:
-            totals[k] += fm * avg ** k
+    return [(lo, hi, ks, curve) for lo, hi in arith.split_ranges(1, X, chunk)]
+
+
+def weighted_moment_chunk(lo: int, hi: int, ks: tuple[int, ...], curve: selmer.CurveData | None) -> list[list[int]]:
+    """For each k, the list over r of the sum of S_m^k over the m in [lo, hi]
+    with omega(m) = r, where S_m is the sum of m's twist-class kernel sizes."""
+    sums: list[list[int]] = [[] for _ in ks]
+    for _, om, sizes in _twist_families(hi, curve, lo):
+        s = sum(sizes)
+        for row, k in zip(sums, ks):
+            row.extend([0] * (om + 1 - len(row)))
+            row[om] += s ** k
+    return sums
+
+
+def weighted_moment_reduce(
+    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None, parts: list
+) -> dict[int, MomentReport]:
+    """The moment sum_r w(r) (sum of S_m^k over omega(m) = r) / 2^(rk) for each
+    k from the chunk parts, as a Fraction, normalized by X/log X times the
+    Euler factor product."""
     euler = 1.0
     for p in arith.small_primes(X):
         if p > X:
@@ -822,12 +876,22 @@ def weighted_moment_profile(
         euler *= 1 + float(weight.at_prime(p)) / p
     scale = X / math.log(X) * euler
     setting = "class" if curve is None else "selmer"
-    return {
-        k: MomentReport(
-            "weighted-moment", setting, X, k, 1, weight.name, totals[k], float(totals[k]) / scale
-        )
-        for k in ks
-    }
+    out = {}
+    for i, k in enumerate(ks):
+        by_omega = map(sum, zip_longest(*(part[i] for part in parts), fillvalue=0))
+        total = sum((weight.of_omega(r) * Fraction(s, 2 ** (r * k)) for r, s in enumerate(by_omega)), Fraction(0))
+        out[k] = MomentReport("weighted-moment", setting, X, k, 1, weight.name, total, float(total) / scale)
+    return out
+
+
+def weighted_moment_profile(
+    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None = None
+) -> dict[int, MomentReport]:
+    """Weighted moments with the power-of-average twist statistic for
+    several exponents in one sweep, normalized by X/log X times the Euler
+    factor product: class-group twists, or with a curve its selmer twists."""
+    tasks = weighted_moment_tasks(X, ks, curve, X)
+    return weighted_moment_reduce(X, ks, weight, curve, [weighted_moment_chunk(*t) for t in tasks])
 
 
 def weighted_moment_report(

@@ -325,3 +325,37 @@ def class_group_by_orders(delta: int, narrow: bool = False) -> tuple[int, ...]:
     return tuple(sorted(
         math.prod(p ** sum(1 for r in rs if r >= t) for p, rs in ranks.items()) for t in range(1, rank + 1)
     ))
+
+
+def _omega_if_squarefree(n: int) -> int | None:
+    """omega(n) by trial division, or None when a square divides n."""
+    count = 0
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return None
+            count += 1
+        p += 1
+    return count + (n > 1)
+
+
+def oscillation_brute(X: int, z: int, scheme: str) -> int:
+    """Sum of w(m1) w(m2) (m1/m2) over the ordered pairs of odd square-free
+    m1, m2 > z with m1 m2 <= X, one Jacobi symbol per pair; w is 1 (mu2) or
+    2^omega (tau), read off trial factoring."""
+    from amoments.arith import jacobi
+
+    weights = {}
+    for m in range(z + 1, X // (z + 1) + 1):
+        om = _omega_if_squarefree(m) if m % 2 else None
+        if om is not None:
+            weights[m] = 1 if scheme == "mu2" else 2 ** om
+    total = 0
+    for m1, w1 in weights.items():
+        for m2, w2 in weights.items():  # increasing
+            if m1 * m2 > X:
+                break
+            total += w1 * w2 * jacobi(m1, m2)
+    return total

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, at the stated scales.
 
 Each test prints `ACCEPTANCE nn <name>: PASS|FAIL` (run pytest with -s to
-see the lines as they stream).  The full tier of criterion 9 (about 6 min
-wall on 2 cores) is gated behind AMOMENTS_FULL=1; its CI tier always runs.
+see the lines as they stream).  The full tiers of criterion 9 (about 6 min
+wall on 2 cores) and criterion 11 (charsum at X = 1e7, a few seconds) are
+gated behind AMOMENTS_FULL=1; their CI tiers always run.
 """
 
 import math
@@ -252,6 +253,16 @@ def test_criterion_11_oscillation_decay(tmp_path):
         ]
         assert len(norms) == 3
         assert norms[0] >= norms[1] >= norms[2], norms
+
+
+@pytest.mark.skipif(os.environ.get("AMOMENTS_FULL") != "1", reason="full tier; set AMOMENTS_FULL=1")
+def test_criterion_11_oscillation_full_tier(tmp_path):
+    with report(11, "oscillation sum at the supported maximum X = 1e7, z = 10"):
+        out = tmp_path / "charsum.csv"
+        code = cli.main(["--out", str(out), "--threads", "2", "charsum", "--x", str(10 ** 7), "--z", "10"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines() if ln.startswith("charsum,")]
+        assert [int(r[4]) for r in rows] == [-42418]
 
 
 def test_criterion_12_determinism_and_resume(t12_runs):

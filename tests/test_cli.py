@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import shlex
@@ -9,6 +10,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from oracles import oscillation_brute
 
 from amoments import arith, cli, density, moments, quadforms, selmer
 
@@ -567,6 +569,12 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["verify", "redei", "--dmax", "30", "--sign", "pos", "--dmax-pos", "30"],
         ["verify", "redei", "--dmax", "30", "--sign", "neg", "--dmax-pos", "100"],
         ["verify", "redei", "--dmax", "30", "--dmax-pos", "100"],
+        ["experiment", "t11", "--poly", "0", "--b-list", "10"],
+        ["density", "lemma210", "--pmax", "1"],
+        ["density", "lemma210", "--pmax", "2", "--box", "2"],
+        ["density", "h3level", "--m", "3", "--letters", "x"],
+        ["moment", "class", "--x", "100", "--weight", "nope"],
+        ["moment", "selmer", "--x", "100", "--curve", "0,0,1"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -593,6 +601,20 @@ def test_least_real_bounds_are_accepted(argv, bounds, monkeypatch):
     monkeypatch.setattr(cli, "run_chunks", lambda ctx, phase, worker, tasks: started.append(tasks) or [])
     assert cli.main(["--threads", "1", *argv]) == 0
     assert [tasks[-1][1] for tasks in started] == bounds
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "t11", "--poly", "0", "--b-list", "10"], "need a nonzero polynomial"),
+        (["density", "lemma210", "--pmax", "2"], "no primes below the cutoff"),
+        (["density", "h3level", "--m", "3", "--letters", "x"], "'x' is not of the form q:e, for example 5:1"),
+        (["density", "h3level", "--m", "3", "--letters", "3:1,3:y"], "'3:y' is not of the form q:e"),
+    ],
+)
+def test_bad_input_message_names_the_problem(argv, message, capsys):
+    assert cli.main(["--threads", "1", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_poly_text_is_not_run_as_code(tmp_path, capsys):
@@ -676,6 +698,66 @@ def test_cli_equals_library(name, threads, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(["--out", str(out), "--threads", threads, *argv]) in (0, 1)
     assert out.read_text() == library_csv()
+
+
+@pytest.mark.parametrize("scheme", ["mu2", "tau"])
+@pytest.mark.parametrize("X", [2, 3, 50, 99, 1000, 4321, 20000])
+def test_charsum_matches_ordered_pair_oracle(X, scheme, tmp_path):
+    z_list = [1, 2, 3, 7, 10, 33, math.isqrt(X) + 1]
+    want = [oscillation_brute(X, z, scheme) for z in z_list]
+    out = tmp_path / "out.csv"
+    for chunk in ("1", "7", "100", "2000"):
+        for threads in ("1", "2"):
+            argv = ["--out", str(out), "--threads", threads, "--chunk", chunk]
+            code = cli.main([*argv, "charsum", "--x", str(X), "--z", ",".join(map(str, z_list)), "--scheme", scheme])
+            assert code in (0, 1)
+            rows = [ln.split(",") for ln in out.read_text().splitlines() if ln.startswith("charsum,")]
+            assert [int(r[4]) for r in rows] == want, (chunk, threads)
+
+
+# a charsum checkpoint from before pairs were summed once by reciprocity: its
+# chunks summed ordered pairs, so it must not be merged
+CHARSUM_CHECKPOINT = (
+    "config=('charsum', 'charsum', [(2000, 10, 11, 110, 'mu2'), (2000, 10, 111, 181, 'mu2')])\n"
+    "chunk.0=-42\n"
+)
+
+
+def test_charsum_checkpoint_of_ordered_pairs_is_refused(tmp_path, capsys):
+    cp = tmp_path / "old.ckpt"
+    cp.write_text(CHARSUM_CHECKPOINT)
+    out = tmp_path / "out.csv"
+    argv = ["--threads", "1", "--chunk", "100", "--checkpoint", str(cp), "--out", str(out)]
+    assert cli.main([*argv, "charsum", "--x", "2000", "--z", "10"]) == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert not out.exists()
+    assert cp.read_text() == CHARSUM_CHECKPOINT
+
+
+MOMENT_RUNS = {
+    "class": ["moment", "class", "--x", "300", "--k", "2", "--weight", "2^omega"],
+    "selmer": ["moment", "selmer", "--x", "200", "--k", "2", "--curve", "0,1,2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_RUNS))
+def test_moment_is_chunked_and_resumable(name, tmp_path):
+    argv = MOMENT_RUNS[name]
+    ref = tmp_path / "ref.csv"
+    assert cli.main(["--out", str(ref), "--threads", "1", *argv]) == 0
+    for chunk in ("1", "97", "2000"):
+        out = tmp_path / f"chunk{chunk}.csv"
+        assert cli.main(["--out", str(out), "--threads", "2", "--chunk", chunk, *argv]) == 0
+        assert out.read_bytes() == ref.read_bytes(), chunk
+    for threads in ("1", "2"):
+        cp = tmp_path / f"run{threads}.ckpt"
+        out = tmp_path / f"resumed{threads}.csv"
+        base = ["--out", str(out), "--checkpoint", str(cp), "--threads", threads, "--chunk", "40"]
+        assert cli.main([*base, "--max-chunks", "2", *argv]) == 0
+        assert not out.exists()
+        assert sum(ln.startswith("chunk.") for ln in cp.read_text().splitlines()) == 2
+        assert cli.main([*base, *argv]) == 0
+        assert out.read_bytes() == ref.read_bytes(), threads
 
 
 def test_sweeps_do_not_call_class_group(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import oscillation_brute
 
 from amoments import arith, moments, quadforms, redei, selmer
 from amoments.density import poly_from_string
@@ -251,6 +252,50 @@ def test_oscillation_degenerate_and_small():
     assert abs(rows[0]["sum"]) * 5 < 10 ** 4
     with pytest.raises(ValueError):
         oscillation_experiment(10 ** 8, [10])
+
+
+# X values of the oscillation comparisons; each z grid adds one z >= sqrt(X)
+OSCILLATION_X = (2, 3, 50, 99, 1000, 4321, 20000)
+
+
+def oscillation_z_grid(X):
+    return [1, 2, 3, 7, 10, 33, math.isqrt(X) + 1]
+
+
+@pytest.mark.parametrize("scheme", ["mu2", "tau"])
+@pytest.mark.parametrize("X", OSCILLATION_X)
+def test_oscillation_matches_ordered_pair_oracle(X, scheme):
+    z_list = oscillation_z_grid(X)
+    rows = oscillation_experiment(X, z_list, scheme)
+    assert [r["sum"] for r in rows] == [oscillation_brute(X, z, scheme) for z in z_list]
+
+
+def test_residue_tables_are_jacobi_symbols():
+    tables, omega = moments._residue_tables(2000)
+    odd_squarefree = [m for m in range(1, 2001, 2) if arith.is_squarefree(m)]
+    assert sorted(tables) == sorted(omega) == odd_squarefree
+    for m in odd_squarefree:
+        t = tables[m]
+        assert t.typecode == "b" and len(t) == m, m
+        assert list(t) == [arith.jacobi(r, m) for r in range(m)], m
+        assert omega[m] == arith.omega(m), m
+
+
+def test_weighted_moment_profile_against_per_m_average():
+    # the twist-class average raised to k and summed per m, as Fractions
+    curve = selmer.CurveData(0, 1, 2)
+    for weight, X, cv in (("2^omega", 700, None), ("tau", 300, None), ("one", 200, curve), ("kappa:1/3", 150, curve)):
+        w = weight_by_name(weight)
+        reps = moments.weighted_moment_profile(X, (0, 1, 2, 3), w, cv)
+        coprime = 2 if cv is None else 2 * cv.omega
+        for k in (0, 1, 2, 3):
+            direct = Fraction(0)
+            for m in range(1, X + 1, 2):
+                if math.gcd(m, coprime) == 1 and arith.is_squarefree(m):
+                    sizes = redei.all_kernel_sizes(m) if cv is None else selmer.g_r_all_eps(cv, m)
+                    direct += w.of_omega(arith.omega(m)) * Fraction(sum(sizes), len(sizes)) ** k
+            assert reps[k].value == direct, (weight, k)
+            assert isinstance(reps[k].value, Fraction)
 
 
 def test_theorem12_small_against_direct_tabulation():
