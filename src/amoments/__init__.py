@@ -4,85 +4,75 @@ Residue matrices over GF(2) and their diagonal twists, binary-quadratic-form
 class groups as ground truth, 2-descent machinery for twists of curves with
 full rational 2-torsion, congruence densities, and exact character-sum
 moment identities, all wired to a deterministic experiment harness.
+
+The seven layer modules load on first use.  Importing the package puts each
+of them in `sys.modules` and on the package, but a layer's code is compiled
+and run only when one of its attributes is first read, so a CLI command runs
+only the layers it reaches (`amoments --help` none of them).  The names of
+`__all__` are read from their layer on first access (PEP 562).
 """
 
-from .arith import (
-    FactoredInt,
-    PrimeDiscriminant,
-    SqfDecomposition,
-    discriminant,
-    factor,
-    fundamental_discriminants,
-    hilbert_symbol,
-    is_fundamental_discriminant,
-    is_prime,
-    is_squarefree,
-    jacobi,
-    kronecker,
-    prime_discriminant_decompose,
-    sqf_decompose,
-    squarefree_part,
-    star,
-)
-from .density import Poly, check_lemma_2_10, delta, frobenian_average, poly_density, poly_from_string
-from .gf2 import Gf2Matrix
-from .moments import (
-    MomentReport,
-    S_moment,
-    check_P_identity,
-    first_moment_lhs,
-    first_moment_rhs,
-    kth_moment_identity_check,
-    max_unlinked,
-    oscillation_experiment,
-    selmer_first_moment_expand,
-    theorem11_experiment,
-    theorem12_experiment,
-    weight_by_name,
-)
-from .quadforms import FormClassGroup, class_group, fundamental_unit_norm, h_torsion
-from .redei import (
-    RedeiSystem,
-    TwistedRedei,
-    build_redei,
-    build_twisted,
-    check_majorization_class,
-    f_star,
-    g_detector,
-    g_twisted,
-    rk4_narrow,
-)
-from .selmer import (
-    CurveData,
-    SelmerSystem,
-    build_selmer_matrix,
-    check_majorization_selmer,
-    descent_selmer_oracle,
-    f_r,
-    g_r,
-    local_conditions,
-    phi_v,
-    selmer_condition_kernel,
-)
+import importlib.util
+import sys
+
+# the public names of each layer, in the order of __all__
+_EXPORTS = {
+    "arith": (
+        "FactoredInt", "PrimeDiscriminant", "SqfDecomposition", "factor", "is_prime",
+        "is_squarefree", "squarefree_part", "jacobi", "kronecker", "star",
+        "discriminant", "is_fundamental_discriminant", "prime_discriminant_decompose",
+        "hilbert_symbol", "sqf_decompose", "fundamental_discriminants",
+    ),
+    "gf2": ("Gf2Matrix",),
+    "redei": (
+        "RedeiSystem", "TwistedRedei", "build_redei", "rk4_narrow", "build_twisted",
+        "g_twisted", "g_detector", "f_star", "check_majorization_class",
+    ),
+    "quadforms": ("FormClassGroup", "class_group", "h_torsion", "fundamental_unit_norm"),
+    "selmer": (
+        "CurveData", "SelmerSystem", "local_conditions", "phi_v",
+        "selmer_condition_kernel", "build_selmer_matrix", "f_r", "g_r",
+        "descent_selmer_oracle", "check_majorization_selmer",
+    ),
+    "density": (
+        "Poly", "poly_from_string", "delta", "poly_density", "check_lemma_2_10",
+        "frobenian_average",
+    ),
+    "moments": (
+        "MomentReport", "weight_by_name", "check_P_identity", "max_unlinked",
+        "first_moment_lhs", "first_moment_rhs", "selmer_first_moment_expand",
+        "S_moment", "kth_moment_identity_check", "oscillation_experiment",
+        "theorem12_experiment", "theorem11_experiment",
+    ),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FactoredInt", "PrimeDiscriminant", "SqfDecomposition", "factor", "is_prime",
-    "is_squarefree", "squarefree_part", "jacobi", "kronecker", "star",
-    "discriminant", "is_fundamental_discriminant", "prime_discriminant_decompose",
-    "hilbert_symbol", "sqf_decompose", "fundamental_discriminants",
-    "Gf2Matrix",
-    "RedeiSystem", "TwistedRedei", "build_redei", "rk4_narrow", "build_twisted",
-    "g_twisted", "g_detector", "f_star", "check_majorization_class",
-    "FormClassGroup", "class_group", "h_torsion", "fundamental_unit_norm",
-    "CurveData", "SelmerSystem", "local_conditions", "phi_v",
-    "selmer_condition_kernel", "build_selmer_matrix", "f_r", "g_r",
-    "descent_selmer_oracle", "check_majorization_selmer",
-    "Poly", "poly_from_string", "delta", "poly_density", "check_lemma_2_10",
-    "frobenian_average",
-    "MomentReport", "weight_by_name", "check_P_identity", "max_unlinked",
-    "first_moment_lhs", "first_moment_rhs", "selmer_first_moment_expand",
-    "S_moment", "kth_moment_identity_check", "oscillation_experiment",
-    "theorem12_experiment", "theorem11_experiment",
-]
+__all__ = list(_HOME)
+
+
+def _lazy(layer: str):
+    """The module amoments.<layer>, registered now and executed on first
+    attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _layer in _EXPORTS:
+    globals()[_layer] = _lazy(_layer)
+del _layer
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

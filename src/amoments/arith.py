@@ -1,14 +1,17 @@
 """Exact integer arithmetic: factorization, quadratic symbols, local square
 classes and the Hilbert symbol, discriminants and square-free decompositions.
 
-Everything here is a pure function of its arguments.  Symbols are returned as
-integers in {-1, 0, +1}; the additive GF(2) convention (-1 -> 1, +1 -> 0) is
-applied by callers at module boundaries via :func:`sym_to_gf2`.
+Everything here is a pure function of its arguments, but `write_replacing`,
+the one file writer of the CLI's output and the class-group cache, kept here
+as every command loads this module.  Symbols are returned as integers in
+{-1, 0, +1}; the additive GF(2) convention (-1 -> 1, +1 -> 0) is applied by
+callers at module boundaries via :func:`sym_to_gf2`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
@@ -313,13 +316,6 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-def field_label(delta: int) -> int:
-    """The square-free m with discriminant(m) == delta."""
-    if not is_fundamental_discriminant(delta):
-        raise ValueError(f"{delta} is not a fundamental discriminant")
-    return delta if delta % 4 == 1 else delta // 4
-
-
 class _PrimeDiscFields(NamedTuple):
     value: int
     conductor: int
@@ -515,14 +511,6 @@ def fundamental_discriminants(lo: int, hi: int, sign: int) -> Iterator[tuple[int
                 yield sign * n, len(fac)
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """x mod m1*m2 with x = r1 (m1), x = r2 (m2); moduli must be coprime."""
-    g, s, _ = ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli not coprime")
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
-
-
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -549,3 +537,24 @@ def split_ranges(lo: int, hi: int, chunk: int, boundaries=()) -> list[tuple[int,
             out.append((start, end))
             start = end + 1
     return out
+
+
+def write_replacing(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    then os.replace, so path holds the old text or the new, never a part.  A
+    symlink is followed; a path that is no regular file (a device, a pipe) is
+    written in place, as it cannot be replaced."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import arith, density, moments, quadforms, redei, selmer
-from .arith import split_ranges
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -238,7 +237,7 @@ class RunContext:
             raise ValueError("thread count must be positive")
         self.out = args.out
         if self.out:
-            # checked before any sweep, as quadforms.write_replacing writes it
+            # checked before any sweep, as arith.write_replacing writes it
             # at the end: a regular file needs a writable directory
             real = os.path.realpath(self.out)
             special = os.path.exists(real) and not os.path.isfile(real)
@@ -255,7 +254,7 @@ class RunContext:
 def emit(ctx, header: str, rows: list[str]) -> None:
     text = "\n".join([header] + rows) + "\n"
     if ctx.out:
-        quadforms.write_replacing(ctx.out, text)
+        arith.write_replacing(ctx.out, text)
     else:
         sys.stdout.write(text)
 
@@ -272,7 +271,7 @@ def _disc_ranges(ctx, dmax: int, least: int = 3) -> list[tuple[int, int]]:
         raise ValueError(f"need a |disc| bound >= {least}, got {dmax}")
     if dmax > quadforms.DISC_BOUND:
         raise ValueError(f"oracle supports |disc| <= {quadforms.DISC_BOUND}")
-    return split_ranges(3, dmax, ctx.chunk)
+    return arith.split_ranges(3, dmax, ctx.chunk)
 
 
 def cmd_verify_redei(ctx, args) -> int:
@@ -319,15 +318,15 @@ def cmd_verify_selmer(ctx, args) -> int:
     # every input is checked before the first phase sweeps
     curve = selmer.CurveData(*_parse_curve(args.curve))
     r = curve.roots()
-    if not 0 <= args.tmax <= 10 ** 6:
-        raise ValueError("need 0 <= --tmax <= 10^6")
+    if not 1 <= args.tmax <= 10 ** 6:
+        raise ValueError("need 1 <= --tmax <= 10^6")
     if args.descent_dmax:
         selmer._check_majorization_input(curve, args.k)
         if not 0 < args.descent_dmax <= selmer.ORACLE_BOUND:
             raise ValueError(f"need 0 <= --descent-dmax <= {selmer.ORACLE_BOUND}")
     rows = []
     status = 0
-    tasks = [(r[0], r[1], r[2], lo, hi) for lo, hi in split_ranges(1, args.tmax, ctx.chunk)]
+    tasks = [(r[0], r[1], r[2], lo, hi) for lo, hi in arith.split_ranges(1, args.tmax, ctx.chunk)]
     parts = run_chunks(ctx, "kernel", "selmer_kernel", tasks)
     checked = sum(p[0] for p in parts)
     mism = [t for p in parts for t in p[1]]
@@ -338,7 +337,7 @@ def cmd_verify_selmer(ctx, args) -> int:
     if args.descent_dmax:
         tasks = [
             (r[0], r[1], r[2], lo, hi, args.k)
-            for lo, hi in split_ranges(1, args.descent_dmax, ctx.chunk)
+            for lo, hi in arith.split_ranges(1, args.descent_dmax, ctx.chunk)
         ]
         parts = run_chunks(ctx, "descent", "descent", tasks)
         checked = sum(p[0] for p in parts)
@@ -392,6 +391,8 @@ def cmd_moment(ctx, args) -> int:
 
 
 def cmd_unlinked(ctx, args) -> int:
+    if args.k < 0:
+        raise ValueError(f"need --k >= 0, got {args.k}")
     size, witness = moments.max_unlinked(args.setting, args.k)
     expected = (2 if args.setting == "class" else 4) ** args.k
     rows = [f"max_unlinked,{args.setting},{args.k},{size}"]

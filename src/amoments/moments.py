@@ -61,7 +61,6 @@ def weight_by_name(name: str) -> Weight:
 # index calculus: blocks, linkage forms, parity operators
 
 _B_TABLE = {(0, 0): 1, (0, 1): 2, (1, 1): 3, (1, 0): 4}
-_B_INV = {v: k for k, v in _B_TABLE.items()}
 
 # labels whose detector term carries the twist sign, as F_2^4 tuples
 _SELMER_TWISTED = {
@@ -76,10 +75,6 @@ _SELMER_TWISTED = {
 # paper-normalized class pairs and the literal symbol occurrences
 _CLASS_PAIRS_PAPER = {(1, 4), (3, 2)}
 _CLASS_PAIRS_EXACT = {(3, 1), (4, 1), (1, 3), (2, 3)}
-
-
-def bijection_B(pair: tuple[int, int]) -> int:
-    return _B_TABLE[pair]
 
 
 def block_size(setting: str) -> int:
@@ -445,10 +440,6 @@ def selmer_first_moment_expand(curve: selmer.CurveData, X: int) -> Fraction:
     return _expansion_profile("selmer", X, 1, weight_by_name("one"), curve, True)[X]
 
 
-def selmer_first_moment_direct(curve: selmer.CurveData, X: int) -> Fraction:
-    return _direct_profile("selmer", X, 1, weight_by_name("one"), curve)[X]
-
-
 # ---------------------------------------------------------------------------
 # fixed-congruence-class sums (paper-normalized form)
 
@@ -711,9 +702,13 @@ def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
 
 def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tuple]:
     """Chunk tasks (lo, hi, k, sign) of theorem12_experiment: |delta| from 3
-    to max(X_list) in ranges of at most `chunk`, cut at every X."""
-    if max(X_list) > 10 ** 6 or min(X_list) < 2:
-        raise ValueError("oracle supports 2 <= X <= 10^6")
+    to max(X_list) in ranges of at most `chunk`, cut at every X.  Every X
+    must reach the least |delta| of the sign: 3, or 5 for real fields."""
+    least = 3 if sign < 0 else 5
+    if min(X_list) < least:
+        raise ValueError(f"need every X >= {least}, the least |disc| of the sign, got {min(X_list)}")
+    if max(X_list) > 10 ** 6:
+        raise ValueError("oracle supports X <= 10^6")
     if k < 0:
         raise ValueError("need k >= 0")
     return [(lo, hi, k, sign) for lo, hi in arith.split_ranges(3, max(X_list), chunk, X_list)]
@@ -810,8 +805,8 @@ def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk
     -max(B) to max(B) in ranges of at most `chunk`, cut at every -B and B."""
     if P.is_zero():
         raise ValueError("need a nonzero polynomial")
-    if max(B_list) > 10 ** 4 or min(B_list) < 0 or P.nvars != 1 or P.degree() > 3:
-        raise ValueError("supports one variable, degree <= 3, 0 <= B <= 10^4")
+    if max(B_list) > 10 ** 4 or min(B_list) < 1 or P.nvars != 1 or P.degree() > 3:
+        raise ValueError("supports one variable, degree <= 3, 1 <= B <= 10^4")
     if k < 0:
         raise ValueError("need k >= 0")
     B = max(B_list)

@@ -18,7 +18,6 @@ b > 0 is reduced exactly when ||a| - |c|| < b."""
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections import deque
 from functools import partial
@@ -521,10 +520,11 @@ def _pos_forms(lo: int, hi: int):
     With A = |a| and C = |c|, a form with ac < 0 has delta = b^2 + 4AC, and it
     is reduced (0 < b < sqrt(delta) and |sqrt(delta) - 2A| < b) exactly when
     b > 0 and |A - C| < b: squaring |sqrt(delta) - 2A| < b gives A + C <
-    sqrt(delta), and squaring that gives (A - C)^2 < b^2.  So the forms of the
-    whole range are tabulated in one pass over (b, A), with C in
-    (A - b, A + b) stepping delta by 4A, bucketed by discriminant as in
-    _neg_tables.  Each (A, b, -C) stands for (-A, b, C) too.
+    sqrt(delta), and squaring that gives (A - C)^2 < b^2.  The condition and
+    delta are symmetric in A and C, so the forms of the whole range are
+    tabulated in one pass over (b, A) with C in [A, A + b), stepping delta by
+    4A: each pair stores the keys of (A, b, -C) and (C, b, -A), bucketed by
+    discriminant as in _neg_tables.  Each (A, b, -C) stands for (-A, b, C) too.
     """
     lo = max(lo, 5)
     if hi < lo:
@@ -539,23 +539,26 @@ def _pos_forms(lo: int, hi: int):
     for b in range(1, math.isqrt(hi - 4) + 1):
         bb = b * b
         # A from the least with 4A(A + b - 1) >= lo - b^2 (C = A + b - 1 at
-        # its largest) to the greatest with 4A max(A - b + 1, 1) <= hi - b^2
+        # its largest) to the greatest with 4A^2 <= hi - b^2 (C = A)
         t = (b - 1) ** 2 + max(lo - bb, 0)
         r = math.isqrt(t)
         A_lo = max(1, (r + (r * r < t) - b + 2) // 2)
-        A_hi = (math.isqrt((b - 1) ** 2 + hi - bb) + b - 1) // 2
-        if A_hi < b:
-            A_hi = (hi - bb) // 4
-        for A in range(A_lo, A_hi + 1):
+        for A in range(A_lo, math.isqrt((hi - bb) // 4) + 1):
             step = 4 * A
-            n = bb + step * (A - b + 1 if A > b else 1)
-            if n < lo:
-                n += step * -(-(lo - n) // step)
-            top = min(hi, bb + step * (A + b - 1))
-            if n <= top:
-                key = A * _KEY + b
-                for bucket in buckets[n - lo : top - lo + 1 : step]:
-                    bucket.append(key)
+            key = A * _KEY + b
+            # C from the least with delta >= lo to the greatest with delta <= hi
+            C = max(A, -((bb - lo) // step))
+            top = min(A + b - 1, (hi - bb) // step)
+            if C > top:
+                continue
+            if C == A:
+                # (A, b, -A) is its own mirror
+                buckets[bb + step * A - lo].append(key)
+                C += 1
+            row = buckets[bb + step * C - lo : bb + step * top - lo + 1 : step]
+            for bucket, mirror in zip(row, range(C * _KEY + b, (top + 1) * _KEY, _KEY)):
+                bucket.append(key)
+                bucket.append(mirror)
     for delta, om in omegas.items():
         keys = buckets[delta - lo]
         buckets[delta - lo] = None  # free each bucket once its discriminant is done
@@ -580,31 +583,10 @@ def _pos_tables(lo: int, hi: int):
 # on-disk files: the cache of computed invariants
 
 
-def write_replacing(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory,
-    then os.replace, so path holds the old text or the new, never a part.  A
-    symlink is followed; a path that is no regular file (a device, a pipe) is
-    written in place, as it cannot be replaced."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as fh:
-            fh.write(text)
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def cache_save(path: str, entries: dict[tuple[int, bool], tuple[int, ...]]) -> None:
     keys = sorted(entries, key=lambda k: (abs(k[0]), k[0], k[1]))
     lines = (f"{d}\t{int(nw)}\t{','.join(map(str, entries[(d, nw)]))}\n" for d, nw in keys)
-    write_replacing(path, "".join(lines))
+    arith.write_replacing(path, "".join(lines))
 
 
 def cache_load(path: str) -> dict[tuple[int, bool], tuple[int, ...]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import arith
-from .arith import PrimeDiscriminant, jacobi, nonresidue, sym_to_gf2
+from .arith import PrimeDiscriminant, jacobi, sym_to_gf2
 from .gf2 import Gf2Matrix, residue_bits, twist_diagonal, twist_kernel_sizes
 
 
@@ -80,28 +80,6 @@ def g_twisted(a: int, alpha: int) -> int:
     return build_twisted(a, alpha).matrix.kernel_size()
 
 
-def g_from_eps(a: int, eps: tuple[int, ...]) -> int:
-    """g with the twist class given directly as a GF(2) vector."""
-    qs = _odd_primes_of_squarefree_part(a)
-    if len(eps) != len(qs):
-        raise ValueError("twist-class vector has the wrong length")
-    return _twisted_matrix(qs, eps).kernel_size()
-
-
-def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
-    """Some alpha coprime to a whose residue classes realize eps."""
-    qs = _odd_primes_of_squarefree_part(a)
-    if len(eps) != len(qs):
-        raise ValueError("twist-class vector has the wrong length")
-    alpha, mod = 1, 1
-    for q, e in zip(qs, eps):
-        alpha = arith.crt_pair(alpha, mod, nonresidue(q) if e else 1, q)
-        mod *= q
-    while math.gcd(alpha, a) != 1:
-        alpha += mod
-    return alpha
-
-
 def all_kernel_sizes(a: int) -> list[int]:
     """Kernel sizes for every twist class of a, indexed by the eps bitmask."""
     qs = _odd_primes_of_squarefree_part(a)
@@ -149,13 +127,6 @@ def f_star(m: int, k: int = 1) -> Fraction:
         raise ValueError("need k >= 1")
     sizes = all_kernel_sizes(m)
     return (Fraction(sum(sizes), len(sizes))) ** k
-
-
-def avg_gk(m: int, k: int) -> Fraction:
-    """Average of the k-th power of the twisted kernel size (not the power of
-    the average); this is the quantity the moment expansion reproduces."""
-    sizes = all_kernel_sizes(m)
-    return Fraction(sum(s ** k for s in sizes), len(sizes))
 
 
 def check_majorization_class(m: int, n: int, k: int = 1) -> bool:

@@ -359,3 +359,78 @@ def oscillation_brute(X: int, z: int, scheme: str) -> int:
                 break
             total += w1 * w2 * jacobi(m1, m2)
     return total
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests reach, kept out of the package so that every
+# line of it runs in some command
+
+
+def field_label(delta: int) -> int:
+    """The square-free m with discriminant(m) == delta."""
+    from amoments.arith import is_fundamental_discriminant
+
+    if not is_fundamental_discriminant(delta):
+        raise ValueError(f"{delta} is not a fundamental discriminant")
+    return delta if delta % 4 == 1 else delta // 4
+
+
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    """x mod m1*m2 with x = r1 (m1), x = r2 (m2); moduli must be coprime."""
+    from amoments.arith import ext_gcd
+
+    g, s, _ = ext_gcd(m1, m2)
+    if g != 1:
+        raise ValueError("moduli not coprime")
+    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
+
+
+def bijection_B(pair: tuple[int, int]) -> int:
+    """The label 1..4 of a class-setting index block."""
+    from amoments.moments import _B_TABLE
+
+    return _B_TABLE[pair]
+
+
+def selmer_first_moment_direct(curve, X: int):
+    """The first selmer moment summed directly over the twists up to X."""
+    from amoments import moments
+
+    return moments._direct_profile("selmer", X, 1, moments.weight_by_name("one"), curve)[X]
+
+
+def g_from_eps(a: int, eps: tuple[int, ...]) -> int:
+    """g(a, alpha) with the twist class given directly as a GF(2) vector."""
+    from amoments import redei
+
+    qs = redei._odd_primes_of_squarefree_part(a)
+    if len(eps) != len(qs):
+        raise ValueError("twist-class vector has the wrong length")
+    return redei._twisted_matrix(qs, eps).kernel_size()
+
+
+def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
+    """Some alpha coprime to a whose residue classes realize eps."""
+    from amoments import arith, redei
+
+    qs = redei._odd_primes_of_squarefree_part(a)
+    if len(eps) != len(qs):
+        raise ValueError("twist-class vector has the wrong length")
+    alpha, mod = 1, 1
+    for q, e in zip(qs, eps):
+        alpha = crt_pair(alpha, mod, arith.nonresidue(q) if e else 1, q)
+        mod *= q
+    while math.gcd(alpha, a) != 1:
+        alpha += mod
+    return alpha
+
+
+def avg_gk(m: int, k: int):
+    """Average of the k-th power of the twisted kernel size over the twist
+    classes of m (not the power of the average)."""
+    from fractions import Fraction
+
+    from amoments.redei import all_kernel_sizes
+
+    sizes = all_kernel_sizes(m)
+    return Fraction(sum(s ** k for s in sizes), len(sizes))

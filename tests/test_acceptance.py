@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from oracles import alpha_realizing
 
 from amoments import arith, cli, moments, quadforms, redei, selmer
 from amoments.moments import weight_by_name
@@ -86,7 +87,7 @@ def test_criterion_02_detector_kernel_identity():
             r = len(redei.build_twisted(a, 1).odd_primes)
             for mask in range(1 << r):
                 eps = tuple((mask >> i) & 1 for i in range(r))
-                alpha = redei.alpha_realizing(a, eps)
+                alpha = alpha_realizing(a, eps)
                 assert redei.g_detector(a, eps) == redei.g_twisted(a, alpha), (a, eps)
                 checked += 1
         assert checked == 4839  # every (a, eps) pair with odd square-free a <= 3000

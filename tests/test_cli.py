@@ -281,10 +281,10 @@ def test_moment_selmer(capsys):
 
 
 def test_split_ranges_rejects_nonpositive_chunk():
-    assert cli.split_ranges(1, 5, 2) == [(1, 2), (3, 4), (5, 5)]
+    assert arith.split_ranges(1, 5, 2) == [(1, 2), (3, 4), (5, 5)]
     for chunk in (0, -3):
         with pytest.raises(ValueError):
-            cli.split_ranges(1, 5, chunk)
+            arith.split_ranges(1, 5, chunk)
 
 
 @pytest.mark.parametrize("chunk", ["0", "-1"])
@@ -381,8 +381,10 @@ def test_one_chunk_phases_resume_identically_at_two_threads(tmp_path):
     assert old.read_text() == SELMER_CHECKPOINT + ref_cp.read_text().splitlines(keepends=True)[-1]
 
 
-# prints the exit code and which of these modules the run loaded
+# prints the exit code, which of these modules the run loaded and which
+# amoments modules it executed (a layer not yet read is still lazy)
 _IMPORT_PROBE = """
+import importlib.util
 import sys
 from amoments import cli
 try:
@@ -390,27 +392,64 @@ try:
 except SystemExit as exc:
     code = exc.code
 heavy = {"hashlib", "_hashlib", "multiprocessing", "dataclasses", "inspect"}
-print(code, sorted(heavy & set(sys.modules)))
+ran = [n for n, m in sys.modules.items() if n.startswith("amoments.") and type(m) is not importlib.util._LazyModule]
+print(code, sorted(heavy & set(sys.modules)), sorted(n.partition(".")[2] for n in ran))
+"""
+
+# (argv, the amoments modules that run executes)
+LOADING = [
+    (["--help"], ["cli"]),
+    (["moment", "class", "--x", "200"], ["arith", "cli", "gf2", "moments", "redei"]),
+    (["--threads", "2", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"], ["arith", "cli", "gf2", "selmer"]),
+    # a new checkpoint needs no hash
+    (["--checkpoint", "CKPT", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"], ["arith", "cli", "gf2", "selmer"]),
+    (["charsum", "--x", "2000", "--z", "3"], ["arith", "cli", "moments"]),
+    (["classgroup", "--dmax", "100"], ["arith", "cli", "quadforms"]),
+    # writing --out needs no class-group code
+    (["--out", "OUT", "verify", "selmer", "--tmax", "50"], ["arith", "cli", "gf2", "selmer"]),
+]
+
+
+def _probe_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
+@pytest.mark.parametrize("argv, loaded", LOADING, ids=[f"argv{i}" for i in range(len(LOADING))])
+def test_runs_without_pool_or_checkpoint_load_neither(argv, loaded, tmp_path):
+    names = {"CKPT": str(tmp_path / "run.ckpt"), "OUT": str(tmp_path / "out.csv")}
+    argv = [names.get(a, a) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=_probe_env(), check=True
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 [] {loaded}"
+
+
+_PACKAGE_PROBE = """
+import importlib.util
+import sys
+import amoments
+layers = sorted(n for n in sys.modules if n.startswith("amoments."))
+print(layers, all(type(sys.modules[n]) is importlib.util._LazyModule for n in layers))
+# the span recorder of bench/spans.py reads vars() of each layer module
+print("Gf2Matrix" in vars(sys.modules["amoments.gf2"]))
 """
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"],
-        ["moment", "class", "--x", "200"],
-        ["--threads", "2", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"],
-        # a new checkpoint needs no hash
-        ["--checkpoint", "CKPT", "verify", "selmer", "--tmax", "50", "--descent-dmax", "30"],
-    ],
-)
-def test_runs_without_pool_or_checkpoint_load_neither(argv, tmp_path):
-    argv = [str(tmp_path / "run.ckpt") if a == "CKPT" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+def test_package_import_registers_every_layer_and_resolves_all():
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _PACKAGE_PROBE], capture_output=True, text=True, env=_probe_env(), check=True
     )
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    layers = ["arith", "density", "gf2", "moments", "quadforms", "redei", "selmer"]
+    assert proc.stdout.splitlines() == [f"{[f'amoments.{n}' for n in layers]} True", "True"]
+    import amoments
+
+    for name in amoments.__all__:
+        value = getattr(amoments, name)
+        assert any(getattr(sys.modules[f"amoments.{n}"], name, None) is value for n in layers), name
+    assert set(amoments.__all__) <= set(dir(amoments))
+    assert set(layers) <= set(dir(amoments))
+    with pytest.raises(AttributeError):
+        amoments.no_such_name
 
 
 # (argv, --max-chunks that stops the first run inside its last phase)
@@ -575,6 +614,13 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["density", "h3level", "--m", "3", "--letters", "x"],
         ["moment", "class", "--x", "100", "--weight", "nope"],
         ["moment", "selmer", "--x", "100", "--curve", "0,0,1"],
+        # sweeps over nothing: below the least |disc| of the sign, B = 0, no twist
+        ["experiment", "t12", "--x-list", "2"],
+        ["experiment", "t12", "--x-list", "100,2"],
+        ["experiment", "t12", "--x-list", "4", "--sign", "pos"],
+        ["experiment", "t11", "--b-list", "0"],
+        ["verify", "selmer", "--tmax", "0"],
+        ["unlinked", "--setting", "class", "--k", "-1"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -610,6 +656,11 @@ def test_least_real_bounds_are_accepted(argv, bounds, monkeypatch):
         (["density", "lemma210", "--pmax", "2"], "no primes below the cutoff"),
         (["density", "h3level", "--m", "3", "--letters", "x"], "'x' is not of the form q:e, for example 5:1"),
         (["density", "h3level", "--m", "3", "--letters", "3:1,3:y"], "'3:y' is not of the form q:e"),
+        (["experiment", "t12", "--x-list", "2"], "need every X >= 3"),
+        (["experiment", "t12", "--x-list", "4", "--sign", "pos"], "need every X >= 5"),
+        (["experiment", "t11", "--b-list", "0"], "1 <= B <= 10^4"),
+        (["verify", "selmer", "--tmax", "0"], "need 1 <= --tmax"),
+        (["unlinked", "--setting", "class", "--k", "-1"], "need --k >= 0"),
     ],
 )
 def test_bad_input_message_names_the_problem(argv, message, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import oscillation_brute
+from oracles import bijection_B, crt_pair, oscillation_brute, selmer_first_moment_direct
 
 from amoments import arith, moments, quadforms, redei, selmer
 from amoments.density import poly_from_string
@@ -12,7 +12,6 @@ from amoments.moments import (
     MomentReport,
     P_quadratic,
     S_moment,
-    bijection_B,
     check_P_identity,
     class_pre_average_expansion,
     first_moment_lhs,
@@ -27,7 +26,6 @@ from amoments.moments import (
     phi_exact,
     s1_parity,
     selmer_detector,
-    selmer_first_moment_direct,
     selmer_first_moment_expand,
     signed_class_decomposition,
     theorem11_experiment,
@@ -161,7 +159,7 @@ def _alpha_for(primes, eps, m):
     for q, e in zip(primes, eps):
         want = -1 if e else 1
         res = next(x for x in range(1, q) if arith.jacobi(x, q) == want)
-        alpha = arith.crt_pair(alpha, mod, res, q)
+        alpha = crt_pair(alpha, mod, res, q)
         mod *= q
     alpha = alpha or 1
     while math.gcd(alpha, m) != 1:

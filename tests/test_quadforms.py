@@ -256,10 +256,15 @@ def test_pos_narrow_sweep_chunks_concatenate():
 
 def test_tabulated_real_forms_match_reference():
     # every positive fundamental delta <= 2 * 10^4, over ranges whose ends
-    # are off round numbers; a key with a > 0 stands for (a, b, c) and (-a, b, -c)
+    # are off round numbers, and a narrow range far from 0, where the walk
+    # over (b, |a|) starts well above |a| = 1; a key with a > 0 stands for
+    # (a, b, c) and (-a, b, -c)
     bounds = ((1, 4), (5, 5), (6, 977), (978, 4099), (4100, 13001), (13002, 2 * 10 ** 4))
     tables = [t for lo, hi in bounds for t in quadforms._pos_forms(lo, hi)]
     assert [t[:2] for t in tables] == list(arith.fundamental_discriminants(3, 2 * 10 ** 4, 1))
+    far = list(quadforms._pos_forms(999001, 999400))
+    assert [t[:2] for t in far] == list(arith.fundamental_discriminants(999001, 999400, 1))
+    tables += far
     for delta, _, keys in tables:
         forms = []
         for key in keys:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import alpha_realizing, avg_gk, field_label, g_from_eps
 
 from amoments import arith, redei
 from amoments.quadforms import class_group
@@ -47,7 +48,7 @@ def test_rk4_narrow_examples():
 
 def test_stevenhagen_agreement_small():
     for delta, _ in [*arith.fundamental_discriminants(3, 2000, -1), *arith.fundamental_discriminants(3, 800, 1)]:
-        m = arith.field_label(delta)
+        m = field_label(delta)
         g = class_group(delta, narrow=True)
         assert redei.rk4_narrow(m) == g.rk4, delta
 
@@ -82,7 +83,7 @@ def test_g_depends_only_on_squarefree_odd_part():
     for a, alpha in ((45, 2), (60, 7), (-90, 7)):
         qs = redei.build_twisted(a, alpha).odd_primes
         base = math.prod(qs)
-        assert redei.g_twisted(a, alpha) == redei.g_from_eps(
+        assert redei.g_twisted(a, alpha) == g_from_eps(
             base, tuple(arith.sym_to_gf2(arith.jacobi(alpha % q, q)) for q in qs)
         )
 
@@ -103,7 +104,7 @@ def test_g_detector_examples():
     assert redei.g_detector(1, ()) == 1
     for mask in range(4):
         eps = (mask & 1, mask >> 1)
-        assert redei.g_detector(15, eps) == redei.g_from_eps(15, eps)
+        assert redei.g_detector(15, eps) == g_from_eps(15, eps)
     with pytest.raises(ValueError):
         redei.g_detector(6, (0,))
     with pytest.raises(ValueError):
@@ -117,7 +118,7 @@ def test_detector_identity_sweep():
         r = len(redei.build_twisted(a, 1).odd_primes)
         for mask in range(1 << r):
             eps = tuple((mask >> i) & 1 for i in range(r))
-            alpha = redei.alpha_realizing(a, eps)
+            alpha = alpha_realizing(a, eps)
             assert redei.g_detector(a, eps) == redei.g_twisted(a, alpha), (a, eps)
 
 
@@ -128,7 +129,7 @@ def test_all_kernel_sizes_matches_realized_alphas(monkeypatch):
         assert len(sizes) == 1 << r
         for mask in range(1 << r):
             eps = tuple((mask >> i) & 1 for i in range(r))
-            assert sizes[mask] == redei.g_twisted(a, redei.alpha_realizing(a, eps))
+            assert sizes[mask] == redei.g_twisted(a, alpha_realizing(a, eps))
     # against the divisor-sum detector, which builds no matrix
     for a in range(1, 3001, 2):
         if not arith.is_squarefree(a):
@@ -153,7 +154,7 @@ def test_f_star_examples():
     four = redei.all_kernel_sizes(15)
     assert redei.f_star(15, 1) == Fraction(sum(four), 4)
     assert redei.f_star(3, 2) == Fraction(9, 4)
-    assert redei.avg_gk(3, 2) == Fraction(5, 2)
+    assert avg_gk(3, 2) == Fraction(5, 2)
 
 
 def test_majorization_class_examples():

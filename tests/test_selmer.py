@@ -19,7 +19,7 @@ from amoments.selmer import (
     phi_v,
     selmer_condition_kernel,
 )
-from oracles import torsor_solvable_qp
+from oracles import crt_pair, torsor_solvable_qp
 
 RNG = random.Random(0x5E1)
 
@@ -268,7 +268,7 @@ def test_g_r_all_eps_matches_explicit_twists():
         for i, q in enumerate(primes):
             want = -1 if (mask >> i) & 1 else 1
             res = next(x for x in range(1, q) if arith.jacobi(x, q) == want)
-            alpha = arith.crt_pair(alpha, mod, res, q)
+            alpha = crt_pair(alpha, mod, res, q)
             mod *= q
         if alpha == 0:
             alpha = mod
