@@ -28,7 +28,7 @@ _EXPORTS = {
         "RedeiSystem", "TwistedRedei", "build_redei", "rk4_narrow", "build_twisted",
         "g_twisted", "g_detector", "f_star", "check_majorization_class",
     ),
-    "quadforms": ("FormClassGroup", "class_group", "h_torsion", "fundamental_unit_norm"),
+    "quadforms": ("FormClassGroup", "class_group", "fundamental_unit_norm"),
     "selmer": (
         "CurveData", "SelmerSystem", "local_conditions", "phi_v",
         "selmer_condition_kernel", "build_selmer_matrix", "f_r", "g_r",
@@ -41,8 +41,7 @@ _EXPORTS = {
     "moments": (
         "MomentReport", "weight_by_name", "check_P_identity", "max_unlinked",
         "first_moment_lhs", "first_moment_rhs", "selmer_first_moment_expand",
-        "S_moment", "kth_moment_identity_check", "oscillation_experiment",
-        "theorem12_experiment", "theorem11_experiment",
+        "S_moment",
     ),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}

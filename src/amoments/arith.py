@@ -15,7 +15,6 @@ import os
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from typing import Iterator, NamedTuple
 
@@ -411,12 +410,6 @@ def hilbert_symbol(a, b, v) -> int:
         (va, eps_a, om_a), (vb, eps_b, om_b) = ca, cb
         e = eps_a & eps_b ^ va & om_b ^ vb & om_a
     return -1 if e else 1
-
-
-@lru_cache(maxsize=None)
-def nonresidue(p: int) -> int:
-    """The least quadratic non-residue modulo an odd prime p."""
-    return next(x for x in range(2, p) if jacobi(x, p) == -1)
 
 
 class SqfDecomposition(NamedTuple):

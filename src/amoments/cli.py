@@ -226,6 +226,16 @@ WORKERS = {
 # context + output
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """Raise IOError unless the file that `flag` names can be written.
+    Checked before any sweep, as arith.write_replacing writes it at the
+    end: a regular file needs a writable directory."""
+    real = os.path.realpath(path)
+    special = os.path.exists(real) and not os.path.isfile(real)
+    if os.path.isdir(real) or not os.access(real if special else os.path.dirname(real), os.W_OK):
+        raise IOError(f"{flag} {path}: not writable")
+
+
 class RunContext:
     def __init__(self, args):
         if args.threads is not None:
@@ -237,12 +247,7 @@ class RunContext:
             raise ValueError("thread count must be positive")
         self.out = args.out
         if self.out:
-            # checked before any sweep, as arith.write_replacing writes it
-            # at the end: a regular file needs a writable directory
-            real = os.path.realpath(self.out)
-            special = os.path.exists(real) and not os.path.isfile(real)
-            if os.path.isdir(real) or not os.access(real if special else os.path.dirname(real), os.W_OK):
-                raise IOError(f"--out {self.out}: not writable")
+            _check_writable("--out", self.out)
         self.checkpoint = args.checkpoint
         self.chunk = args.chunk
         self.max_chunks = args.max_chunks
@@ -477,7 +482,10 @@ def cmd_density(ctx, args) -> int:
 def cmd_classgroup(ctx, args) -> int:
     cache: dict = {}
     if args.cache and os.path.exists(args.cache):
+        # written only if the run changes it, so a read-only cache still answers
         cache = quadforms.cache_load(args.cache)
+    elif args.cache:
+        _check_writable("--cache", args.cache)
     loaded = dict(cache)
     if args.delta is not None:
         key = (args.delta, args.narrow)

@@ -393,8 +393,13 @@ def frobenian_average(P: Poly, pmax: int) -> dict:
 def h3_level_tasks(
     X: int, m: int, letters: dict[int, int] | None, sign: int, chunk: int
 ) -> list[tuple]:
-    """Chunk tasks (lo, hi, m, letters, sign) of h3_level_report: |disc|
-    from 3 to X - 1 in ranges of at most `chunk`."""
+    """Chunk tasks (lo, hi, m, letters, sign) comparing the sum of (h_3 - 1)
+    over the fields whose label is divisible by m with the density
+    prediction: |disc| from 3 to X - 1 in ranges of at most `chunk`.
+
+    letters maps a subset of the odd primes of m to a required value of the
+    residue symbol of (label / m); each condition halves the main term.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if m < 1:
@@ -429,7 +434,9 @@ def h3_level_chunk(lo: int, hi: int, m: int, letters, sign: int) -> tuple[int, i
 
 
 def h3_level_reduce(X: int, m: int, letters: dict[int, int] | None, sign: int, parts: list) -> dict:
-    """The report of h3_level_report from the chunk parts."""
+    """The sum of (h_3 - 1) and the field count from the chunk parts, with
+    the prediction (3 or 1 for sign -1 or +1) * X * delta(m) /
+    (2^#letters * pi^2) and the ratio of the sum to it."""
     letters = dict(letters or {})
     total = sum(p[0] for p in parts)
     count = sum(p[1] for p in parts)
@@ -444,16 +451,3 @@ def h3_level_reduce(X: int, m: int, letters: dict[int, int] | None, sign: int, p
         "prediction": main,
         "ratio": total / main if main else math.inf,
     }
-
-
-def h3_level_report(
-    X: int, m: int = 1, letters: dict[int, int] | None = None, sign: int = -1
-) -> dict:
-    """Compare sum of (h_3 - 1) over labels divisible by m against the
-    density prediction.
-
-    letters maps a subset of the odd primes of m to a required value of the
-    residue symbol of (label / m); each condition halves the main term.
-    """
-    tasks = h3_level_tasks(X, m, letters, sign, max(X, 1))
-    return h3_level_reduce(X, m, letters, sign, [h3_level_chunk(*t) for t in tasks])

@@ -422,17 +422,6 @@ def kth_moment_identity_profile(
     return direct, expansion
 
 
-def kth_moment_identity_check(
-    setting: str,
-    X: int,
-    k: int,
-    weight: Weight,
-    curve: selmer.CurveData | None = None,
-) -> bool:
-    direct, expansion = kth_moment_identity_profile(setting, X, k, weight, curve)
-    return direct == expansion
-
-
 def selmer_first_moment_expand(curve: selmer.CurveData, X: int) -> Fraction:
     """The averaged detector expansion of the first selmer moment."""
     if X > 2000:
@@ -538,7 +527,8 @@ def class_pre_average_expansion(X: int, k: int, weight: Weight) -> Fraction:
 
 
 def oscillation_tasks(X: int, z_list: list[int], scheme: str, chunk: int) -> list[tuple]:
-    """Chunk tasks (X, z, lo, hi, scheme) of the oscillation sums: for each
+    """Chunk tasks (X, z, lo, hi, scheme) of the bilinear residue-symbol sums
+    over odd square-free pairs above z (`oscillation_chunk`): for each
     distinct z, the larger factor m1 over (z, X // (z + 1)] in ranges of at
     most `chunk`."""
     if not 2 <= X <= 10 ** 7:
@@ -650,16 +640,6 @@ def oscillation_reduce(X: int, z_list: list[int], scheme: str, tasks: list[tuple
     return rows
 
 
-def oscillation_experiment(X: int, z_list: list[int], scheme: str = "mu2") -> list[dict]:
-    """Bilinear residue-symbol sums over odd square-free pairs above z.
-
-    Reports |sum| * z^(1/20) / (X log^3 X) on the z grid plus a fitted decay
-    exponent across the grid.
-    """
-    tasks = oscillation_tasks(X, z_list, scheme, X)
-    return oscillation_reduce(X, z_list, scheme, tasks, [oscillation_chunk(*t) for t in tasks])
-
-
 # ---------------------------------------------------------------------------
 # torsion-sum experiments
 
@@ -701,9 +681,10 @@ def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
 
 
 def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tuple]:
-    """Chunk tasks (lo, hi, k, sign) of theorem12_experiment: |delta| from 3
-    to max(X_list) in ranges of at most `chunk`, cut at every X.  Every X
-    must reach the least |delta| of the sign: 3, or 5 for real fields."""
+    """Chunk tasks (lo, hi, k, sign) of the exact torsion sums against the
+    3-torsion * two-part majorant (`theorem12_chunk`): |delta| from 3 to
+    max(X_list) in ranges of at most `chunk`, cut at every X.  Every X must
+    reach the least |delta| of the sign: 3, or 5 for real fields."""
     least = 3 if sign < 0 else 5
     if min(X_list) < least:
         raise ValueError(f"need every X >= {least}, the least |disc| of the sign, got {min(X_list)}")
@@ -715,7 +696,8 @@ def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tu
 
 
 def theorem12_reduce(X_list: list[int], k: int, sign: int, tasks: list[tuple], parts: list) -> list[MomentReport]:
-    """Cumulative exact and majorant sums at each X from the chunk parts."""
+    """Cumulative exact and majorant sums at each X from the chunk parts,
+    normalized by X log X."""
     out = []
     exact = majorant = 0
     i = 0
@@ -732,13 +714,6 @@ def theorem12_reduce(X_list: list[int], k: int, sign: int, tasks: list[tuple], p
             MomentReport("t12-majorant", "class", X, k, sign, "one", majorant, majorant / norm)
         )
     return out
-
-
-def theorem12_experiment(X_list: list[int], k: int, sign: int = -1) -> list[MomentReport]:
-    """Exact torsion sums against the 3-torsion * two-part majorant,
-    normalized by X log X."""
-    tasks = theorem12_tasks(X_list, k, sign, max(X_list))
-    return theorem12_reduce(X_list, k, sign, tasks, [theorem12_chunk(*t) for t in tasks])
 
 
 _SIEVE_PRIME_BOUND = 3000
@@ -801,8 +776,9 @@ def theorem11_chunk(P, lo: int, hi: int, curve: selmer.CurveData, k: int) -> int
 
 
 def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk: int) -> list[tuple]:
-    """Chunk tasks (P, lo, hi, curve, k) of theorem11_experiment: t from
-    -max(B) to max(B) in ranges of at most `chunk`, cut at every -B and B."""
+    """Chunk tasks (P, lo, hi, curve, k) of the selmer majorant along the
+    polynomial fibration t -> P(t) (`theorem11_chunk`): t from -max(B) to
+    max(B) in ranges of at most `chunk`, cut at every -B and B."""
     if P.is_zero():
         raise ValueError("need a nonzero polynomial")
     if max(B_list) > 10 ** 4 or min(B_list) < 1 or P.nvars != 1 or P.degree() > 3:
@@ -815,7 +791,8 @@ def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk
 
 
 def theorem11_reduce(B_list: list[int], k: int, tasks: list[tuple], parts: list[int]) -> list[MomentReport]:
-    """The majorant sum over -B <= t <= B for each B from the chunk parts."""
+    """The majorant sum over -B <= t <= B for each B from the chunk parts,
+    normalized by the count of lattice points 2B + 1."""
     out = []
     for B in sorted(B_list):
         total = sum(part for (_, lo, hi, _, _), part in zip(tasks, parts) if -B <= lo and hi <= B)
@@ -825,17 +802,12 @@ def theorem11_reduce(B_list: list[int], k: int, tasks: list[tuple], parts: list[
     return out
 
 
-def theorem11_experiment(P, curve: selmer.CurveData, B_list: list[int], k: int = 1) -> list[MomentReport]:
-    """Averages of the selmer majorant along one polynomial fibration,
-    normalized by the count of lattice points (2B+1)."""
-    tasks = theorem11_tasks(P, curve, B_list, k, 2 * max(B_list) + 1)
-    return theorem11_reduce(B_list, k, tasks, [theorem11_chunk(*t) for t in tasks])
-
-
 def weighted_moment_tasks(
     X: int, ks: tuple[int, ...], curve: selmer.CurveData | None, chunk: int
 ) -> list[tuple]:
-    """Chunk tasks (lo, hi, ks, curve) of weighted_moment_profile: m from 1
+    """Chunk tasks (lo, hi, ks, curve) of the weighted moments with the
+    power-of-average twist statistic, for several exponents in one sweep:
+    class-group twists, or with a curve its selmer twists.  m runs from 1
     to X in ranges of at most `chunk`."""
     if X < 2:
         raise ValueError("need X >= 2")
@@ -877,19 +849,3 @@ def weighted_moment_reduce(
         total = sum((weight.of_omega(r) * Fraction(s, 2 ** (r * k)) for r, s in enumerate(by_omega)), Fraction(0))
         out[k] = MomentReport("weighted-moment", setting, X, k, 1, weight.name, total, float(total) / scale)
     return out
-
-
-def weighted_moment_profile(
-    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None = None
-) -> dict[int, MomentReport]:
-    """Weighted moments with the power-of-average twist statistic for
-    several exponents in one sweep, normalized by X/log X times the Euler
-    factor product: class-group twists, or with a curve its selmer twists."""
-    tasks = weighted_moment_tasks(X, ks, curve, X)
-    return weighted_moment_reduce(X, ks, weight, curve, [weighted_moment_chunk(*t) for t in tasks])
-
-
-def weighted_moment_report(
-    X: int, k: int, weight: Weight, curve: selmer.CurveData | None = None
-) -> MomentReport:
-    return weighted_moment_profile(X, (k,), weight, curve)[k]

@@ -384,11 +384,6 @@ def class_group(delta: int, narrow: bool = False) -> FormClassGroup:
     return FormClassGroup(delta, narrow, _invariants(sq, mul, (e,)), len(sq))
 
 
-def h_torsion(delta: int, n: int) -> int:
-    """Number of n-torsion elements of the ordinary class group."""
-    return class_group(delta, narrow=False).torsion(n)
-
-
 def fundamental_unit_norm(delta: int) -> int:
     """Norm of the fundamental unit, from the continued fraction of
     (delta mod 2 + sqrt(delta))/2: norm = (-1)^(period length)."""

@@ -385,6 +385,13 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
 
 
+def nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo an odd prime p."""
+    from amoments.arith import jacobi
+
+    return next(x for x in range(2, p) if jacobi(x, p) == -1)
+
+
 def bijection_B(pair: tuple[int, int]) -> int:
     """The label 1..4 of a class-setting index block."""
     from amoments.moments import _B_TABLE
@@ -411,14 +418,14 @@ def g_from_eps(a: int, eps: tuple[int, ...]) -> int:
 
 def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
     """Some alpha coprime to a whose residue classes realize eps."""
-    from amoments import arith, redei
+    from amoments import redei
 
     qs = redei._odd_primes_of_squarefree_part(a)
     if len(eps) != len(qs):
         raise ValueError("twist-class vector has the wrong length")
     alpha, mod = 1, 1
     for q, e in zip(qs, eps):
-        alpha = crt_pair(alpha, mod, arith.nonresidue(q) if e else 1, q)
+        alpha = crt_pair(alpha, mod, nonresidue(q) if e else 1, q)
         mod *= q
     while math.gcd(alpha, a) != 1:
         alpha += mod

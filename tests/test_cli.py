@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from oracles import oscillation_brute
 
-from amoments import arith, cli, density, moments, quadforms, selmer
+from amoments import arith, cli, quadforms
 
 
 def run_cli(argv, capsys):
@@ -105,6 +106,26 @@ def test_checkpoint_tolerates_torn_line(tmp_path):
     out = tmp_path / "resumed.csv"
     assert cli.main(["--out", str(out), "--checkpoint", str(cp)] + base_args) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("same_text", [True, False])
+def test_checkpoint_headed_by_sha256_resumes_only_its_task_text(same_text, tmp_path, capsys):
+    # sections written before headers held the task text carry its SHA-256
+    argv = ["--threads", "1", "--chunk", "80", "experiment", "t12", "--x-list", "200,400", "--sign", "neg"]
+    ref, cp, out = tmp_path / "ref.csv", tmp_path / "run.ckpt", tmp_path / "out.csv"
+    assert cli.main(["--out", str(ref), *argv]) == 0
+    assert cli.main(["--checkpoint", str(cp), "--max-chunks", "2", *argv]) == 0
+    header, *chunks = cp.read_text().splitlines(keepends=True)
+    text = header.removeprefix("config=").rstrip("\n") if same_text else "some other text"
+    cut = f"config={hashlib.sha256(text.encode()).hexdigest()}\n" + "".join(chunks)
+    cp.write_text(cut)
+    code = cli.main(["--out", str(out), "--checkpoint", str(cp), *argv])
+    if same_text:
+        assert code == 0 and out.read_bytes() == ref.read_bytes()
+        assert cp.read_text().startswith(cut)
+    else:
+        assert code == 2 and "different configuration" in capsys.readouterr().err
+        assert not out.exists() and cp.read_text() == cut
 
 
 def test_checkpoint_config_mismatch(tmp_path, capsys):
@@ -206,6 +227,18 @@ def test_classgroup_cache(tmp_path, capsys):
     code, out = run_cli(["classgroup", "--delta", "-71", "--cache", str(cache)], capsys)
     assert code == 0
     assert "-71\t0\t7\n" in cache.read_text()
+
+
+@pytest.mark.parametrize("lookup", [["--dmax", "40000"], ["--delta", "-23"]])
+def test_unwritable_new_cache_exits_before_any_chunk(lookup, monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class groups computed before the cache was checked")
+
+    monkeypatch.setattr(cli, "run_chunks", refuse)
+    monkeypatch.setattr(quadforms, "class_group", refuse)
+    cache = tmp_path / "missing" / "c.tsv"
+    assert cli.main(["--threads", "1", "classgroup", *lookup, "--cache", str(cache)]) == 3
+    assert f"--cache {cache}: not writable" in capsys.readouterr().err
 
 
 def test_malformed_cache_line_is_named(tmp_path, capsys):
@@ -675,80 +708,29 @@ def test_poly_text_is_not_run_as_code(tmp_path, capsys):
     assert "not a polynomial" in capsys.readouterr().err
 
 
-def _report_csv(reports):
-    return "\n".join([moments.CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
-
-
-def _charsum_csv(rows):
-    lines = ["quantity,scheme,X,z,sum,normalized"] + [
-        f"charsum,{r['scheme']},{r['X']},{r['z']},{r['sum']},{r['normalized']:.15g}" for r in rows
-    ]
-    if rows[0]["fitted_exponent"] is not None:
-        lines.append(f"charsum_fitted_exponent,{rows[0]['scheme']},{rows[0]['X']},,,{rows[0]['fitted_exponent']:.15g}")
-    return "\n".join(lines) + "\n"
-
-
-def _h3_csv(rep):
-    x = rep["X"]
-    return (
-        "quantity,parameter,value\n"
-        f"h3_sum,{x},{rep['sum_h3_minus_1']}\n"
-        f"h3_fields,{x},{rep['fields']}\n"
-        f"h3_prediction,{x},{float(rep['prediction']):.15g}\n"
-        f"h3_ratio,{x},{rep['ratio']:.15g}\n"
-    )
-
-
-# (CLI argv with a --chunk that gives at least 3 chunks, library result as CSV)
-AGAINST_LIBRARY = {
-    "t12": (
-        ["--chunk", "100", "experiment", "t12", "--x-list", "200,400", "--sign", "neg"],
-        lambda: _report_csv(moments.theorem12_experiment([200, 400], 1, -1)),
-    ),
-    "t12-pos": (
-        ["--chunk", "500", "experiment", "t12", "--x-list", "1000,1500", "--sign", "pos", "--k", "2"],
-        lambda: _report_csv(moments.theorem12_experiment([1000, 1500], 2, 1)),
-    ),
-    "t11": (
-        ["--chunk", "20", "experiment", "t11", "--poly", "t^2+1", "--curve", "0,1,2", "--b-list", "20,40"],
-        lambda: _report_csv(
-            moments.theorem11_experiment(
-                density.poly_from_string("t^2+1"), selmer.CurveData(0, 1, 2), [20, 40], 1
-            )
-        ),
-    ),
-    "charsum-mu2": (
-        ["--chunk", "300", "charsum", "--x", "20000", "--z", "10,20", "--scheme", "mu2"],
-        lambda: _charsum_csv(moments.oscillation_experiment(20000, [10, 20], "mu2")),
-    ),
-    "charsum-tau": (
-        ["--chunk", "100", "charsum", "--x", "5000", "--z", "5,9", "--scheme", "tau"],
-        lambda: _charsum_csv(moments.oscillation_experiment(5000, [5, 9], "tau")),
-    ),
-    "h3level-neg": (
-        ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:1", "--sign", "neg"],
-        lambda: _h3_csv(density.h3_level_report(2000, 3, {3: 1}, -1)),
-    ),
-    "h3level-pos": (
-        ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:-1", "--sign", "pos"],
-        lambda: _h3_csv(density.h3_level_report(2000, 3, {3: -1}, 1)),
-    ),
-    "moment-selmer": (
-        ["moment", "selmer", "--x", "80", "--k", "2", "--curve", "0,1,2"],
-        lambda: _report_csv(
-            [moments.weighted_moment_report(80, 2, moments.weight_by_name("one"), selmer.CurveData(0, 1, 2))]
-        ),
-    ),
+# CLI argv, each led by a --chunk that gives at least 3 chunks
+PARTITIONED = {
+    "t12": ["--chunk", "100", "experiment", "t12", "--x-list", "200,400", "--sign", "neg"],
+    "t12-pos": ["--chunk", "500", "experiment", "t12", "--x-list", "1000,1500", "--sign", "pos", "--k", "2"],
+    "t11": ["--chunk", "20", "experiment", "t11", "--poly", "t^2+1", "--curve", "0,1,2", "--b-list", "20,40"],
+    "charsum-mu2": ["--chunk", "300", "charsum", "--x", "20000", "--z", "10,20", "--scheme", "mu2"],
+    "charsum-tau": ["--chunk", "100", "charsum", "--x", "5000", "--z", "5,9", "--scheme", "tau"],
+    "h3level-neg": ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:1", "--sign", "neg"],
+    "h3level-pos": ["--chunk", "500", "density", "h3level", "--x", "2000", "--m", "3", "--letters", "3:-1", "--sign", "pos"],
+    "moment-selmer": ["--chunk", "25", "moment", "selmer", "--x", "80", "--k", "2", "--curve", "0,1,2"],
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name", sorted(AGAINST_LIBRARY))
+@pytest.mark.parametrize("name", sorted(PARTITIONED))
 def test_cli_equals_library(name, threads, tmp_path):
-    argv, library_csv = AGAINST_LIBRARY[name]
-    out = tmp_path / "out.csv"
-    assert cli.main(["--out", str(out), "--threads", threads, *argv]) in (0, 1)
-    assert out.read_text() == library_csv()
+    # the run at its small --chunk equals one chunk per cut at one thread
+    argv = PARTITIONED[name]
+    out, whole = tmp_path / "out.csv", tmp_path / "whole.csv"
+    code = cli.main(["--out", str(out), "--threads", threads, *argv])
+    assert code in (0, 1)
+    assert cli.main(["--out", str(whole), "--threads", "1", "--chunk", "10000000", *argv[2:]]) == code
+    assert out.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("scheme", ["mu2", "tau"])

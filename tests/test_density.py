@@ -201,12 +201,14 @@ def test_box_equidistribution_three_root_cubic():
 
 
 def test_h3_level_small():
-    rep = density.h3_level_report(3000, 1, None, -1)
+    reps = []
+    for m, letters in ((1, None), (3, None), (3, {3: 1})):
+        tasks = density.h3_level_tasks(3000, m, letters, -1, 1000)
+        reps.append(density.h3_level_reduce(3000, m, letters, -1, [density.h3_level_chunk(*t) for t in tasks]))
+    rep, rep3, rep3s = reps
     assert rep["fields"] > 0
     assert 0.5 < rep["ratio"] < 1.5
-    rep3 = density.h3_level_report(3000, 3, None, -1)
     assert rep3["fields"] > 0
-    rep3s = density.h3_level_report(3000, 3, {3: 1}, -1)
     assert rep3s["fields"] < rep3["fields"]
     with pytest.raises(ValueError):
-        density.h3_level_report(100, 3, {5: 1}, -1)
+        density.h3_level_tasks(100, 3, {5: 1}, -1, 1000)

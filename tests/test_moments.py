@@ -18,20 +18,16 @@ from amoments.moments import (
     first_moment_lhs_profile,
     first_moment_rhs,
     first_moment_rhs_profile,
-    kth_moment_identity_check,
+    kth_moment_identity_profile,
     max_unlinked,
     moment_indices,
-    oscillation_experiment,
     phi,
     phi_exact,
     s1_parity,
     selmer_detector,
     selmer_first_moment_expand,
     signed_class_decomposition,
-    theorem11_experiment,
-    theorem12_experiment,
     weight_by_name,
-    weighted_moment_report,
 )
 
 RNG = random.Random(0xA11CE)
@@ -201,13 +197,12 @@ def test_selmer_first_moment_expand():
 
 
 def test_kth_moment_identity():
-    assert kth_moment_identity_check("class", 60, 1, ONE)
-    assert kth_moment_identity_check("class", 40, 2, weight_by_name("2^omega"))
-    assert kth_moment_identity_check(
-        "selmer", 40, 1, ONE, selmer.CurveData(0, 1, -1)
-    )
+    two = weight_by_name("2^omega")
+    for args in (("class", 60, 1, ONE), ("class", 40, 2, two), ("selmer", 40, 1, ONE, selmer.CurveData(0, 1, -1))):
+        direct, expansion = kth_moment_identity_profile(*args)
+        assert direct == expansion, args
     with pytest.raises(ValueError):
-        kth_moment_identity_check("class", 500, 1, ONE)
+        kth_moment_identity_profile("class", 500, 1, ONE)
 
 
 def test_pre_average_expansion_matches_restricted():
@@ -244,12 +239,15 @@ def test_signed_class_decomposition():
 
 
 def test_oscillation_degenerate_and_small():
-    rows = oscillation_experiment(1000, [1000, 2000])
-    assert all(r["sum"] == 0 for r in rows)
-    rows = oscillation_experiment(10 ** 4, [10])
-    assert abs(rows[0]["sum"]) * 5 < 10 ** 4
+    sums = {}
+    for X, z_list in ((1000, [1000, 2000]), (10 ** 4, [10])):
+        tasks = moments.oscillation_tasks(X, z_list, "mu2", 97)
+        rows = moments.oscillation_reduce(X, z_list, "mu2", tasks, [moments.oscillation_chunk(*t) for t in tasks])
+        sums[X] = [r["sum"] for r in rows]
+    assert sums[1000] == [0, 0]
+    assert abs(sums[10 ** 4][0]) * 5 < 10 ** 4
     with pytest.raises(ValueError):
-        oscillation_experiment(10 ** 8, [10])
+        moments.oscillation_tasks(10 ** 8, [10], "mu2", 97)
 
 
 # X values of the oscillation comparisons; each z grid adds one z >= sqrt(X)
@@ -264,7 +262,8 @@ def oscillation_z_grid(X):
 @pytest.mark.parametrize("X", OSCILLATION_X)
 def test_oscillation_matches_ordered_pair_oracle(X, scheme):
     z_list = oscillation_z_grid(X)
-    rows = oscillation_experiment(X, z_list, scheme)
+    tasks = moments.oscillation_tasks(X, z_list, scheme, 97)
+    rows = moments.oscillation_reduce(X, z_list, scheme, tasks, [moments.oscillation_chunk(*t) for t in tasks])
     assert [r["sum"] for r in rows] == [oscillation_brute(X, z, scheme) for z in z_list]
 
 
@@ -284,7 +283,8 @@ def test_weighted_moment_profile_against_per_m_average():
     curve = selmer.CurveData(0, 1, 2)
     for weight, X, cv in (("2^omega", 700, None), ("tau", 300, None), ("one", 200, curve), ("kappa:1/3", 150, curve)):
         w = weight_by_name(weight)
-        reps = moments.weighted_moment_profile(X, (0, 1, 2, 3), w, cv)
+        tasks = moments.weighted_moment_tasks(X, (0, 1, 2, 3), cv, X // 3)
+        reps = moments.weighted_moment_reduce(X, (0, 1, 2, 3), w, cv, [moments.weighted_moment_chunk(*t) for t in tasks])
         coprime = 2 if cv is None else 2 * cv.omega
         for k in (0, 1, 2, 3):
             direct = Fraction(0)
@@ -297,7 +297,8 @@ def test_weighted_moment_profile_against_per_m_average():
 
 
 def test_theorem12_small_against_direct_tabulation():
-    reports = theorem12_experiment([100], 1, -1)
+    tasks = moments.theorem12_tasks([100], 1, -1, 30)
+    reports = moments.theorem12_reduce([100], 1, -1, tasks, [moments.theorem12_chunk(*t) for t in tasks])
     exact = next(r for r in reports if r.experiment == "t12-exact")
     maj = next(r for r in reports if r.experiment == "t12-majorant")
     direct = 0
@@ -312,7 +313,8 @@ def test_theorem12_small_against_direct_tabulation():
 
 
 def test_theorem12_majorant_dominates_pointwise():
-    reports = theorem12_experiment([200, 400], 1, -1)
+    tasks = moments.theorem12_tasks([200, 400], 1, -1, 150)
+    reports = moments.theorem12_reduce([200, 400], 1, -1, tasks, [moments.theorem12_chunk(*t) for t in tasks])
     by_x = {}
     for r in reports:
         by_x.setdefault(r.X, {})[r.experiment] = r.value
@@ -325,7 +327,8 @@ def test_theorem12_positive_sign():
         (quadforms.class_group(d), om) for d, om in arith.fundamental_discriminants(3, 1500, 1)
     ]
     for k in (1, 2, 3):
-        reports = theorem12_experiment([1500], k, 1)
+        tasks = moments.theorem12_tasks([1500], k, 1, 400)
+        reports = moments.theorem12_reduce([1500], k, 1, tasks, [moments.theorem12_chunk(*t) for t in tasks])
         exact = next(r for r in reports if r.experiment == "t12-exact")
         maj = next(r for r in reports if r.experiment == "t12-majorant")
         assert exact.value == sum(g.torsion(3 * 2 ** k) for g, _ in groups), k
@@ -335,14 +338,16 @@ def test_theorem12_positive_sign():
 def test_theorem11_small_against_direct():
     P = poly_from_string("t")
     curve = selmer.CurveData(0, 1, -1)
-    reports = theorem11_experiment(P, curve, [50], 1)
+    tasks = moments.theorem11_tasks(P, curve, [50], 1, 30)
+    reports = moments.theorem11_reduce([50], 1, tasks, [moments.theorem11_chunk(*t) for t in tasks])
     direct = sum(
         selmer.f_r(curve, t) for t in range(-50, 51) if t != 0
     )
     assert reports[0].value == direct
     assert reports[0].normalized >= 1 - 0.05
     P2 = poly_from_string("t^2+1")
-    rep2 = theorem11_experiment(P2, curve, [40], 1)
+    tasks = moments.theorem11_tasks(P2, curve, [40], 1, 30)
+    rep2 = moments.theorem11_reduce([40], 1, tasks, [moments.theorem11_chunk(*t) for t in tasks])
     direct2 = sum(selmer.f_r(curve, t * t + 1) for t in range(-40, 41))
     assert rep2[0].value == direct2
 
@@ -353,7 +358,9 @@ def test_moment_report_csv():
 
 
 def test_weighted_moment_report_smoke():
-    rep = weighted_moment_report(500, 1, weight_by_name("2^omega"))
+    tasks = moments.weighted_moment_tasks(500, (1,), None, 150)
+    parts = [moments.weighted_moment_chunk(*t) for t in tasks]
+    rep = moments.weighted_moment_reduce(500, (1,), weight_by_name("2^omega"), None, parts)[1]
     assert rep.value > 0
     assert 0 < rep.normalized < 100
 
@@ -363,7 +370,8 @@ def test_weighted_moment_bounded_across_scales():
     w = weight_by_name("2^omega")
     norms = {1: [], 2: []}
     for X in (10 ** 3, 10 ** 4, 10 ** 5):
-        reps = moments.weighted_moment_profile(X, (1, 2), w)
+        tasks = moments.weighted_moment_tasks(X, (1, 2), None, X // 4)
+        reps = moments.weighted_moment_reduce(X, (1, 2), w, None, [moments.weighted_moment_chunk(*t) for t in tasks])
         for k in (1, 2):
             norms[k].append(reps[k].normalized)
     for k in (1, 2):
@@ -375,6 +383,7 @@ def test_weighted_moment_bounded_across_scales():
 def test_theorem11_doubling_stability():
     P = poly_from_string("t")
     curve = selmer.CurveData(0, 1, -1)
-    reports = theorem11_experiment(P, curve, [1000, 2000], 1)
+    tasks = moments.theorem11_tasks(P, curve, [1000, 2000], 1, 700)
+    reports = moments.theorem11_reduce([1000, 2000], 1, tasks, [moments.theorem11_chunk(*t) for t in tasks])
     n1, n2 = reports[0].normalized, reports[1].normalized
     assert abs(n2 - n1) / n1 < 0.30, (n1, n2)

@@ -11,7 +11,6 @@ from amoments.quadforms import (
     _reduce_neg,
     class_group,
     fundamental_unit_norm,
-    h_torsion,
     neg_torsion_sweep,
     pos_narrow_sweep,
     reduced_forms_neg,
@@ -84,10 +83,10 @@ def test_known_structures_neg():
 
 
 def test_h_torsion_examples():
-    assert h_torsion(-23, 3) == 3
-    assert h_torsion(-56, 4) == 4
+    assert class_group(-23).torsion(3) == 3
+    assert class_group(-56).torsion(4) == 4
     for delta in (-23, -56, 5, 12):
-        assert h_torsion(delta, 1) == 1
+        assert class_group(delta).torsion(1) == 1
 
 
 def test_fundamental_unit_norm():

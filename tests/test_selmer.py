@@ -19,7 +19,7 @@ from amoments.selmer import (
     phi_v,
     selmer_condition_kernel,
 )
-from oracles import crt_pair, torsor_solvable_qp
+from oracles import crt_pair, nonresidue, torsor_solvable_qp
 
 RNG = random.Random(0x5E1)
 
@@ -420,7 +420,7 @@ TORSOR_CASES = [
 def test_local_image_against_torsor_solubility(roots, p, twists):
     # the grid test shares its enumeration with _local_image; this one
     # decides every pair of class representatives by the Hensel tree
-    n = arith.nonresidue(p) if p != 2 else None
+    n = nonresidue(p) if p != 2 else None
     reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (1, n, p, n * p)
     for d in twists:
         es = tuple(d * r for r in roots)
