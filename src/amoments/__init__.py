@@ -30,9 +30,8 @@ _EXPORTS = {
     ),
     "quadforms": ("FormClassGroup", "class_group", "fundamental_unit_norm"),
     "selmer": (
-        "CurveData", "SelmerSystem", "local_conditions", "phi_v",
-        "selmer_condition_kernel", "build_selmer_matrix", "f_r", "g_r",
-        "descent_selmer_oracle", "check_majorization_selmer",
+        "CurveData", "phi_v", "selmer_condition_kernel", "descent_selmer_oracle",
+        "check_majorization_selmer",
     ),
     "density": (
         "Poly", "poly_from_string", "delta", "poly_density", "check_lemma_2_10",

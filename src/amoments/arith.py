@@ -377,7 +377,10 @@ def local_coords(x, v) -> tuple[int, ...]:
     (v_2, eps, omega) with eps = (u-1)/2 and omega = (u^2-1)/8 of the unit
     part u, mod 2.  A rational p/q is in the class of p*q.
     """
-    n = x.numerator * x.denominator if isinstance(x, Fraction) else int(x)
+    if type(x) is int:  # the common case, ahead of the slower ABC check
+        n = x
+    else:
+        n = x.numerator * x.denominator if isinstance(x, Fraction) else int(x)
     if n == 0:
         raise ValueError("zero has no square class")
     if v == "inf" or v is math.inf:

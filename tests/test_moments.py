@@ -4,7 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import bijection_B, crt_pair, oscillation_brute, selmer_first_moment_direct
+from oracles import (
+    bijection_B,
+    build_selmer_matrix,
+    crt_pair,
+    f_r,
+    g_r,
+    oscillation_brute,
+    selmer_first_moment_direct,
+)
 
 from amoments import arith, moments, quadforms, redei, selmer
 from amoments.density import poly_from_string
@@ -135,7 +143,7 @@ def test_selmer_detector_matches_kernel_membership():
             sizes = selmer.g_r_all_eps(curve, m)
             for mask in range(1 << r):
                 eps = tuple((mask >> i) & 1 for i in range(r))
-                sys = selmer.build_selmer_matrix(
+                sys = build_selmer_matrix(
                     curve, m, _alpha_for(primes, eps, m)
                 )
                 total = Fraction(0)
@@ -146,7 +154,7 @@ def test_selmer_detector_matches_kernel_membership():
                     in_kernel = sys.matrix.mul_vec(vec) == 0
                     assert (det == 1) == in_kernel, (curve, m, eps, split)
                     total += det
-                assert total == selmer.g_r(curve, m, _alpha_for(primes, eps, m))
+                assert total == g_r(curve, m, _alpha_for(primes, eps, m))
                 assert total == sizes[mask]
 
 
@@ -341,14 +349,14 @@ def test_theorem11_small_against_direct():
     tasks = moments.theorem11_tasks(P, curve, [50], 1, 30)
     reports = moments.theorem11_reduce([50], 1, tasks, [moments.theorem11_chunk(*t) for t in tasks])
     direct = sum(
-        selmer.f_r(curve, t) for t in range(-50, 51) if t != 0
+        f_r(curve, t) for t in range(-50, 51) if t != 0
     )
     assert reports[0].value == direct
     assert reports[0].normalized >= 1 - 0.05
     P2 = poly_from_string("t^2+1")
     tasks = moments.theorem11_tasks(P2, curve, [40], 1, 30)
     rep2 = moments.theorem11_reduce([40], 1, tasks, [moments.theorem11_chunk(*t) for t in tasks])
-    direct2 = sum(selmer.f_r(curve, t * t + 1) for t in range(-40, 41))
+    direct2 = sum(f_r(curve, t * t + 1) for t in range(-40, 41))
     assert rep2[0].value == direct2
 
 

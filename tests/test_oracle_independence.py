@@ -4,7 +4,8 @@ Read from the source with `ast`, so no test run has to reach a forbidden
 path for the check to see it: the class-group oracle and the GF(2) layer
 import no package module but `arith`, and the 2-descent oracle reaches only
 `arith`, `Gf2Matrix` and the local-coordinate helpers of `selmer`, never the
-condition matrices it is compared with.
+condition matrices it is compared with.  The Hilbert-symbol condition kernel
+reaches no condition matrix, residue table or GF(2) matrix either.
 """
 
 import ast
@@ -31,6 +32,10 @@ ORACLE_HELPERS = {
     "descent_selmer_oracle",
 }
 ORACLE_ROOTS = ("_local_image", "descent_selmer_oracle")
+# what the condition-kernel oracle is compared with: the condition matrices
+KERNEL_FORBIDDEN = {
+    "_selmer_bits", "_kernel_size", "residue_bits", "twist_diagonal", "twist_kernel_sizes", "Gf2Matrix",
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -101,3 +106,9 @@ def test_descent_oracle_reaches_only_arith_gf2matrix_and_local_helpers():
         elif name not in ORACLE_HELPERS:
             outside.add(f"selmer.{name}")
     assert not outside, sorted(outside)
+
+
+def test_condition_kernel_reaches_no_condition_matrix():
+    reached = _reached(_tree("selmer"), ("selmer_condition_kernel",))
+    assert "hilbert_symbol" in reached
+    assert not reached & KERNEL_FORBIDDEN, sorted(reached & KERNEL_FORBIDDEN)

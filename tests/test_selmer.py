@@ -8,22 +8,30 @@ import pytest
 from amoments import arith, selmer
 from amoments.selmer import (
     CurveData,
-    build_selmer_matrix,
     check_majorization_selmer,
     descent_selmer_oracle,
-    f_r,
-    g_r,
     g_r_all_eps,
-    local_conditions,
     local_coords,
     phi_v,
     selmer_condition_kernel,
 )
-from oracles import crt_pair, nonresidue, torsor_solvable_qp
+from oracles import (
+    build_selmer_matrix,
+    condition_kernel_brute,
+    crt_pair,
+    f_r,
+    g_r,
+    local_conditions,
+    nonresidue,
+    selmer_collection,
+    torsor_solvable_qp,
+)
 
 RNG = random.Random(0x5E1)
 
 CURVES = [CurveData(0, 1, -1), CurveData(0, 1, 2), CurveData(0, 2, 5)]
+# the acceptance curves, a root gcd of 7 and of 3, and a negative root
+SIX_CURVES = CURVES + [CurveData(0, 7, -7), CurveData(0, 6, 15), CurveData(-3, 0, 5)]
 
 
 def test_curve_data():
@@ -275,6 +283,42 @@ def test_g_r_all_eps_matches_explicit_twists():
         while math.gcd(alpha, m) != 1:
             alpha += mod
         assert sizes[mask] == g_r(curve, m, alpha), mask
+
+
+def test_condition_kernel_matches_pairwise_enumeration():
+    # the kernel by halves equals the test of every pair against every map
+    for curve in SIX_CURVES:
+        for t in range(1, 501):
+            if arith.is_squarefree(t) and math.gcd(t, curve.omega) == 1:
+                assert selmer_condition_kernel(curve, t) == condition_kernel_brute(curve, t), (curve, t)
+
+
+def test_condition_kernel_evaluates_each_half_once(monkeypatch):
+    calls = []
+    symbol = selmer.hilbert_symbol
+    monkeypatch.setattr(selmer, "hilbert_symbol", lambda *a: calls.append(a) or symbol(*a))
+    t = 3 * 5 * 7 * 11 * 13
+    r = 5
+    selmer_condition_kernel(CurveData(0, 1, 2), t)
+    # two symbols for each side of each divisor but 1, at each of the r
+    # primes; testing every pair of divisors makes over 5,000
+    assert 0 < len(calls) <= 2 * 2 * r * (2 ** r - 1) == 620
+
+
+def test_rescaled_maximum_equals_collection_maximum():
+    # the diagonal flips by (c / p_i) stand for the rescaled curves; below
+    # 500 the flip by (-1 / p_i) never moves the maximum, but on (-3, 0, 5)
+    # at 1349 and 1633 and on (0, 2, 5) at 2201 and 3689 it does
+    for curve in SIX_CURVES:
+        if math.gcd(*curve.roots()) != 1:
+            continue
+        collection = selmer_collection(curve)
+        for a in (*range(1, 501), 1349, 1633, 2201, 3689):
+            for d in (a, -a):
+                if arith.is_squarefree(d):
+                    primes = selmer._coprime_radical(curve, d)
+                    best = max(selmer._kernel_size(c, primes) for c in collection)
+                    assert selmer._rescaled_max(curve, primes) == best, (curve, d)
 
 
 def test_each_twist_is_factored_once(monkeypatch):
