@@ -26,9 +26,9 @@ _EXPORTS = {
     "gf2": ("Gf2Matrix",),
     "redei": (
         "RedeiSystem", "TwistedRedei", "build_redei", "rk4_narrow", "build_twisted",
-        "g_twisted", "g_detector", "f_star", "check_majorization_class",
+        "g_twisted", "g_detector", "check_majorization_class",
     ),
-    "quadforms": ("FormClassGroup", "class_group", "fundamental_unit_norm"),
+    "quadforms": ("FormClassGroup", "class_group"),
     "selmer": (
         "CurveData", "phi_v", "selmer_condition_kernel", "descent_selmer_oracle",
         "check_majorization_selmer",

@@ -178,7 +178,7 @@ def _w_selmer_kernel(r1, r2, r3, lo, hi):
     return [checked, mismatches]
 
 
-def _w_descent(r1, r2, r3, lo, hi, k):
+def _w_descent(r1, r2, r3, lo, hi):
     curve = selmer.CurveData(r1, r2, r3)
     violations = []
     checked = 0
@@ -186,7 +186,7 @@ def _w_descent(r1, r2, r3, lo, hi, k):
         for d in (a, -a):
             if not arith.is_squarefree(d):
                 continue
-            if not selmer.check_majorization_selmer(curve, d, k):
+            if not selmer.check_majorization_selmer(curve, d):
                 violations.append(d)
             checked += 1
     return [checked, violations]
@@ -326,7 +326,7 @@ def cmd_verify_selmer(ctx, args) -> int:
     if not 1 <= args.tmax <= 10 ** 6:
         raise ValueError("need 1 <= --tmax <= 10^6")
     if args.descent_dmax:
-        selmer._check_majorization_input(curve, args.k)
+        selmer._check_majorization_input(curve)
         if not 0 < args.descent_dmax <= selmer.ORACLE_BOUND:
             raise ValueError(f"need 0 <= --descent-dmax <= {selmer.ORACLE_BOUND}")
     rows = []
@@ -340,10 +340,7 @@ def cmd_verify_selmer(ctx, args) -> int:
     if mism:
         status = EXIT_MATH
     if args.descent_dmax:
-        tasks = [
-            (r[0], r[1], r[2], lo, hi, args.k)
-            for lo, hi in arith.split_ranges(1, args.descent_dmax, ctx.chunk)
-        ]
+        tasks = [(r[0], r[1], r[2], lo, hi) for lo, hi in arith.split_ranges(1, args.descent_dmax, ctx.chunk)]
         parts = run_chunks(ctx, "descent", "descent", tasks)
         checked = sum(p[0] for p in parts)
         bad = [d for p in parts for d in p[1]]
@@ -388,9 +385,9 @@ def cmd_identity_k_moment(ctx, args) -> int:
 def cmd_moment(ctx, args) -> int:
     w = moments.weight_by_name(args.weight)
     curve = selmer.CurveData(*_parse_curve(args.curve)) if args.target == "selmer" else None
-    tasks = moments.weighted_moment_tasks(args.x, (args.k,), curve, ctx.chunk)
+    tasks = moments.weighted_moment_tasks(args.x, args.k, curve, ctx.chunk)
     parts = run_chunks(ctx, "moment", "moment", tasks)
-    rep = moments.weighted_moment_reduce(args.x, (args.k,), w, curve, parts)[args.k]
+    rep = moments.weighted_moment_reduce(args.x, args.k, w, curve, parts)
     emit(ctx, moments.CSV_HEADER, [rep.csv_row()])
     return EXIT_OK
 
@@ -556,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--tmax", type=int, required=True)
     vs.add_argument("--curve", default="0,1,-1")
     vs.add_argument("--descent-dmax", type=int, default=0)
-    vs.add_argument("--k", type=int, default=1)
     vs.set_defaults(func=cmd_verify_selmer)
 
     idn = sub.add_parser("identity", help="exact identity checks")

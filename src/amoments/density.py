@@ -137,6 +137,28 @@ def poly_from_string(text: str, nvars: int = 1) -> Poly:
     return Poly.from_terms(nvars, table)
 
 
+def _odd_primes(a: int) -> list[int]:
+    return [p for p, _ in arith.factor(a).factors if p != 2] if a > 1 else []
+
+
+def _letters(a: int, epsilon: tuple[int, ...] | None) -> list[tuple[int, int]]:
+    """The (odd prime of a, letter) pairs of a letter vector, which must
+    have one letter in {1, -1, 0} for each odd prime of a; none without
+    letters."""
+    if epsilon is None:
+        return []
+    qs = _odd_primes(a)
+    if len(epsilon) != len(qs) or any(e not in (-1, 0, 1) for e in epsilon):
+        raise ValueError("need one letter in {1, -1, 0} for each odd prime of a")
+    return list(zip(qs, epsilon))
+
+
+def _count_matching(values, a: int, letters: list[tuple[int, int]]) -> int:
+    """How many values v are divisible by a with ((v/a) | q) = e for every
+    letter pair (q, e)."""
+    return sum(1 for v in values if v % a == 0 and all(arith.jacobi(v // a, q) == e for q, e in letters))
+
+
 def poly_density(P: Poly, a: int, epsilon: tuple[int, ...] | None = None) -> Fraction:
     """Exact density of P = 0 mod a, refined by residue-symbol letters.
 
@@ -147,37 +169,16 @@ def poly_density(P: Poly, a: int, epsilon: tuple[int, ...] | None = None) -> Fra
     if a < 1:
         raise ValueError("need a >= 1")
     n = P.nvars
-    if epsilon is None:
-        mod = a
-        if mod ** n > ENUM_CAP:
-            raise ValueError("enumeration domain exceeds the configured cap")
-        count = sum(
-            1 for point in product(range(mod), repeat=n) if P.eval_mod(point, mod) == 0
-        )
-        return Fraction(count, mod ** n)
-    qs = [p for p, _ in arith.factor(a).factors if p != 2] if a > 1 else []
-    if len(epsilon) != len(qs):
-        raise ValueError("letter vector must match the odd primes of a")
-    if any(e not in (-1, 0, 1) for e in epsilon):
-        raise ValueError("letters must lie in {1, -1, 0}")
-    Q = math.prod(qs)
-    mod = a * Q
+    letters = _letters(a, epsilon)
+    mod = a * math.prod(q for q, _ in letters)
     if mod ** n > ENUM_CAP:
         raise ValueError("enumeration domain exceeds the configured cap")
-    count = 0
-    for point in product(range(mod), repeat=n):
-        v = P.eval_mod(point, mod)
-        if v % a:
-            continue
-        y = v // a
-        if all(arith.jacobi(y, q) == e for q, e in zip(qs, epsilon)):
-            count += 1
-    return Fraction(count, mod ** n)
+    points = product(range(mod), repeat=n)
+    return Fraction(_count_matching((P.eval_mod(pt, mod) for pt in points), a, letters), mod ** n)
 
 
 def all_letter_vectors(a: int) -> list[tuple[int, ...]]:
-    qs = [p for p, _ in arith.factor(a).factors if p != 2] if a > 1 else []
-    return [tuple(v) for v in product((1, -1, 0), repeat=len(qs))]
+    return list(product((1, -1, 0), repeat=len(_odd_primes(a))))
 
 
 def box_count(P: Poly, B: int, a: int, epsilon: tuple[int, ...] | None = None) -> int:
@@ -185,53 +186,46 @@ def box_count(P: Poly, B: int, a: int, epsilon: tuple[int, ...] | None = None) -
     n = P.nvars
     if (2 * B + 1) ** n > 4 * ENUM_CAP:
         raise ValueError("box too large for exact enumeration")
-    qs = [p for p, _ in arith.factor(a).factors if p != 2] if a > 1 else []
-    if epsilon is not None and len(epsilon) != len(qs):
-        raise ValueError("letter vector must match the odd primes of a")
-    count = 0
-    for point in product(range(-B, B + 1), repeat=n):
-        v = P.eval(point)
-        if v % a:
-            continue
-        if epsilon is None:
-            count += 1
-            continue
-        y = v // a
-        if all(arith.jacobi(y, q) == e for q, e in zip(qs, epsilon)):
-            count += 1
-    return count
+    letters = _letters(a, epsilon)
+    return _count_matching(map(P.eval, product(range(-B, B + 1), repeat=n)), a, letters)
 
 
-def check_lemma_2_10(P: Poly, pmax: int, B: int, theta: float = 0.2) -> dict:
+THETA = 0.2
+
+
+def check_lemma_2_10(P: Poly, pmax: int, B: int) -> dict:
     """Empirical constants for the density bounds and the box count error.
 
     Reports max p*h(p), max p^2*h(p^2), max p^2*|h(p,eps) - h(p)/2| over odd
     primes up to pmax, and the largest box deviation |count - h(a,eps)(2B)^n|
-    normalized by B^(n - theta) over a <= B^theta.
+    normalized by B^(n - THETA) over a <= B^THETA.  Every enumeration cap is
+    checked before the first density: the letter densities run over p^(2n)
+    residues.
     """
     if B < 1:
         raise ValueError("need a box size B >= 1")
-    if pmax > arith.PRIME_TABLE_BOUND:
-        raise ValueError(f"need pmax <= {arith.PRIME_TABLE_BOUND}")
     if not P.is_separable():
         raise ValueError("polynomial must be separable of degree >= 1")
     n = P.nvars
     odd_primes = [p for p in arith.small_primes(pmax) if 2 < p <= pmax]
     if not odd_primes:
         raise ValueError("no primes below the cutoff")
+    if odd_primes[-1] ** (2 * n) > ENUM_CAP:
+        raise ValueError(f"need p^{2 * n} <= {ENUM_CAP} at the largest odd prime p <= pmax, got {odd_primes[-1]}")
+    if (2 * B + 1) ** n > 4 * ENUM_CAP:
+        raise ValueError("box too large for exact enumeration")
     c1 = Fraction(0)
     c2 = Fraction(0)
     c5 = Fraction(0)
     for p in odd_primes:
         hp = poly_density(P, p)
         c1 = max(c1, p * hp)
-        if (p * p) ** n <= ENUM_CAP:
-            c2 = max(c2, p * p * poly_density(P, p * p))
+        c2 = max(c2, p * p * poly_density(P, p * p))
         for e in (1, -1):
             he = poly_density(P, p, (e,))
             c5 = max(c5, p * p * abs(he - hp / 2))
     box_max = Fraction(0)
-    amax = max(1, int(B ** theta))
+    amax = max(1, int(B ** THETA))
     for a in range(1, amax + 1):
         for eps in all_letter_vectors(a):
             expected = poly_density(P, a, eps) * (2 * B + 1) ** n
@@ -242,10 +236,10 @@ def check_lemma_2_10(P: Poly, pmax: int, B: int, theta: float = 0.2) -> dict:
         "max_p2_h_p2": c2,
         "max_p2_letter_bias": c5,
         "max_box_deviation": box_max,
-        "box_deviation_normalized": float(box_max) / B ** (n - theta),
+        "box_deviation_normalized": float(box_max) / B ** (n - THETA),
         "pmax": pmax,
         "B": B,
-        "theta": theta,
+        "theta": THETA,
     }
 
 

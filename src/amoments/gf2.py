@@ -112,11 +112,8 @@ class Gf2Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
-
     def kernel_size(self) -> int:
-        dim = self.kernel_dim()
+        dim = self.cols - self.rank()
         if dim > 62:
             raise OverflowError("kernel size exceeds 2^62")
         return 1 << dim

@@ -35,9 +35,6 @@ class Weight(NamedTuple):
     def of_omega(self, w: int) -> Fraction:
         return self.base ** w
 
-    def at_prime(self, p: int) -> Fraction:
-        return self.base
-
 
 def weight_by_name(name: str) -> Weight:
     if name in ("one", "1"):
@@ -666,6 +663,10 @@ class MomentReport(NamedTuple):
 
 CSV_HEADER = "experiment,setting,X,k,sign,weight,value,normalized"
 
+# the largest moment exponent of the sweeps: at their size bounds every sum
+# of k-th powers stays far below 2^1000, so it fits a float and a JSON number
+K_MAX = 32
+
 
 def theorem12_chunk(lo: int, hi: int, k: int, sign: int) -> tuple[int, int]:
     """(exact torsion sum, majorant sum) over fundamental discriminants of
@@ -690,8 +691,8 @@ def theorem12_tasks(X_list: list[int], k: int, sign: int, chunk: int) -> list[tu
         raise ValueError(f"need every X >= {least}, the least |disc| of the sign, got {min(X_list)}")
     if max(X_list) > 10 ** 6:
         raise ValueError("oracle supports X <= 10^6")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"need 0 <= k <= {K_MAX}")
     return [(lo, hi, k, sign) for lo, hi in arith.split_ranges(3, max(X_list), chunk, X_list)]
 
 
@@ -783,8 +784,8 @@ def theorem11_tasks(P, curve: selmer.CurveData, B_list: list[int], k: int, chunk
         raise ValueError("need a nonzero polynomial")
     if max(B_list) > 10 ** 4 or min(B_list) < 1 or P.nvars != 1 or P.degree() > 3:
         raise ValueError("supports one variable, degree <= 3, 1 <= B <= 10^4")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"need 0 <= k <= {K_MAX}")
     B = max(B_list)
     cuts = [-b - 1 for b in B_list] + list(B_list)
     return [(P, lo, hi, curve, k) for lo, hi in arith.split_ranges(-B, B, chunk, cuts)]
@@ -802,50 +803,40 @@ def theorem11_reduce(B_list: list[int], k: int, tasks: list[tuple], parts: list[
     return out
 
 
-def weighted_moment_tasks(
-    X: int, ks: tuple[int, ...], curve: selmer.CurveData | None, chunk: int
-) -> list[tuple]:
-    """Chunk tasks (lo, hi, ks, curve) of the weighted moments with the
-    power-of-average twist statistic, for several exponents in one sweep:
-    class-group twists, or with a curve its selmer twists.  m runs from 1
-    to X in ranges of at most `chunk`."""
+def weighted_moment_tasks(X: int, k: int, curve: selmer.CurveData | None, chunk: int) -> list[tuple]:
+    """Chunk tasks (lo, hi, k, curve) of the weighted k-th moment with the
+    power-of-average twist statistic: class-group twists, or with a curve
+    its selmer twists.  m runs from 1 to X in ranges of at most `chunk`."""
     if X < 2:
         raise ValueError("need X >= 2")
     if X > arith.PRIME_TABLE_BOUND:
         raise ValueError(f"the Euler product needs X <= {arith.PRIME_TABLE_BOUND}")
-    if any(k < 0 for k in ks):
-        raise ValueError("need k >= 0")
-    return [(lo, hi, ks, curve) for lo, hi in arith.split_ranges(1, X, chunk)]
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"need 0 <= k <= {K_MAX}")
+    return [(lo, hi, k, curve) for lo, hi in arith.split_ranges(1, X, chunk)]
 
 
-def weighted_moment_chunk(lo: int, hi: int, ks: tuple[int, ...], curve: selmer.CurveData | None) -> list[list[int]]:
-    """For each k, the list over r of the sum of S_m^k over the m in [lo, hi]
-    with omega(m) = r, where S_m is the sum of m's twist-class kernel sizes."""
-    sums: list[list[int]] = [[] for _ in ks]
+def weighted_moment_chunk(lo: int, hi: int, k: int, curve: selmer.CurveData | None) -> list[int]:
+    """The list over r of the sum of S_m^k over the m in [lo, hi] with
+    omega(m) = r, where S_m is the sum of m's twist-class kernel sizes."""
+    sums: list[int] = []
     for _, om, sizes in _twist_families(hi, curve, lo):
-        s = sum(sizes)
-        for row, k in zip(sums, ks):
-            row.extend([0] * (om + 1 - len(row)))
-            row[om] += s ** k
+        sums.extend([0] * (om + 1 - len(sums)))
+        sums[om] += sum(sizes) ** k
     return sums
 
 
-def weighted_moment_reduce(
-    X: int, ks: tuple[int, ...], weight: Weight, curve: selmer.CurveData | None, parts: list
-) -> dict[int, MomentReport]:
-    """The moment sum_r w(r) (sum of S_m^k over omega(m) = r) / 2^(rk) for each
-    k from the chunk parts, as a Fraction, normalized by X/log X times the
-    Euler factor product."""
+def weighted_moment_reduce(X: int, k: int, weight: Weight, curve: selmer.CurveData | None, parts: list) -> MomentReport:
+    """The moment sum_r w(r) (sum of S_m^k over omega(m) = r) / 2^(rk) from
+    the chunk parts, as a Fraction, normalized by X/log X times the Euler
+    factor product."""
     euler = 1.0
     for p in arith.small_primes(X):
         if p > X:
             break
-        euler *= 1 + float(weight.at_prime(p)) / p
+        euler *= 1 + float(weight.base) / p
     scale = X / math.log(X) * euler
+    by_omega = map(sum, zip_longest(*parts, fillvalue=0))
+    total = sum((weight.of_omega(r) * Fraction(s, 2 ** (r * k)) for r, s in enumerate(by_omega)), Fraction(0))
     setting = "class" if curve is None else "selmer"
-    out = {}
-    for i, k in enumerate(ks):
-        by_omega = map(sum, zip_longest(*(part[i] for part in parts), fillvalue=0))
-        total = sum((weight.of_omega(r) * Fraction(s, 2 ** (r * k)) for r, s in enumerate(by_omega)), Fraction(0))
-        out[k] = MomentReport("weighted-moment", setting, X, k, 1, weight.name, total, float(total) / scale)
-    return out
+    return MomentReport("weighted-moment", setting, X, k, 1, weight.name, total, float(total) / scale)

@@ -384,30 +384,6 @@ def class_group(delta: int, narrow: bool = False) -> FormClassGroup:
     return FormClassGroup(delta, narrow, _invariants(sq, mul, (e,)), len(sq))
 
 
-def fundamental_unit_norm(delta: int) -> int:
-    """Norm of the fundamental unit, from the continued fraction of
-    (delta mod 2 + sqrt(delta))/2: norm = (-1)^(period length)."""
-    if delta <= 0:
-        raise ValueError("need a positive discriminant")
-    _check_disc(delta)
-    s = math.isqrt(delta)
-    P, Q = delta % 2, 2
-    seen: dict[tuple[int, int], int] = {}
-    k = 0
-    while (P, Q) not in seen:
-        seen[(P, Q)] = k
-        m = P + s
-        a = m // Q
-        if Q < 0 and m % Q == 0:
-            a -= 1
-        P2 = a * Q - P
-        Q2 = (delta - P2 * P2) // Q
-        P, Q = P2, Q2
-        k += 1
-    period = k - seen[(P, Q)]
-    return -1 if period % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # sweep workers (picklable, deterministic)
 

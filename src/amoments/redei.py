@@ -118,25 +118,12 @@ def g_detector(a: int, eps: tuple[int, ...]) -> Fraction:
     return total / (1 << r)
 
 
-def f_star(m: int, k: int = 1) -> Fraction:
-    """Average of the twisted kernel size over all 2^r twist classes of m,
-    raised to the k-th power."""
-    if m < 1 or m % 2 == 0 or not arith.is_squarefree(m):
-        raise ValueError("need an odd square-free positive integer")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    sizes = all_kernel_sizes(m)
-    return (Fraction(sum(sizes), len(sizes))) ** k
-
-
-def check_majorization_class(m: int, n: int, k: int = 1) -> bool:
-    """Whether 2^(k*rk4+) of the product field is killed by g(m,n)^k * 2^(k w(n)+k)."""
+def check_majorization_class(m: int, n: int) -> bool:
+    """Whether 2^rk4+ of the product field is at most g(m,n) * 2^(w(n)+1).
+    Both sides are positive, so the bound on every k-th power holds exactly
+    when this one does."""
     if m == 0 or n == 0 or math.gcd(m, n) != 1:
         raise ValueError("need nonzero coprime integers")
-    if k < 1:
-        raise ValueError("need k >= 1")
     mn = arith.squarefree_part(m * n)
     rk4 = 0 if mn == 1 else rk4_narrow(mn)
-    lhs = 2 ** (k * rk4)
-    rhs = g_twisted(m, n) ** k * 2 ** (k * arith.omega(n) + k)
-    return lhs <= rhs
+    return 2 ** rk4 <= g_twisted(m, n) * 2 ** (arith.omega(n) + 1)

@@ -337,22 +337,21 @@ def _rescaled_max(curve: CurveData, primes: tuple[int, ...]) -> int:
     return max(Gf2Matrix(2 * r, 2 * r, twist_diagonal(bits, f * spread)).kernel_size() for f in flips)
 
 
-def _check_majorization_input(curve: CurveData, k: int) -> None:
+def _check_majorization_input(curve: CurveData) -> None:
     if math.gcd(math.gcd(curve.r1, curve.r2), curve.r3) != 1:
         raise ValueError("roots must have gcd 1 for the rescaling collection")
-    if k < 1:
-        raise ValueError("need k >= 1")
     # factored now, so a bad product out of factoring range is bad input
     # before any twist is checked
     curve.omega_primes
 
 
-def check_majorization_selmer(curve: CurveData, d: int, k: int = 1) -> bool:
-    """Whether |Sel^2(E_d)|^k <= 4^(k*w(bad)+k) * max over the rescaled
-    collection of the condition-kernel sizes."""
-    _check_majorization_input(curve, k)
-    lhs = descent_selmer_oracle(curve, d) ** k
+def check_majorization_selmer(curve: CurveData, d: int) -> bool:
+    """Whether |Sel^2(E_d)| <= 4^(w(bad)+1) * max over the rescaled
+    collection of the condition-kernel sizes.  Both sides are positive, so
+    the bound on every k-th power holds exactly when this one does."""
+    _check_majorization_input(curve)
+    lhs = descent_selmer_oracle(curve, d)
     w = len(curve.omega_primes)
     # the rescaled curves have the same bad primes, so the same twist primes
     best = _rescaled_max(curve, _coprime_radical(curve, d))
-    return lhs <= 4 ** (k * w + k) * best ** k
+    return lhs <= 4 ** (w + 1) * best

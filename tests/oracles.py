@@ -328,6 +328,32 @@ def class_group_by_orders(delta: int, narrow: bool = False) -> tuple[int, ...]:
     ))
 
 
+def fundamental_unit_norm(delta: int) -> int:
+    """Norm of the fundamental unit of the real field of fundamental
+    discriminant delta, from the continued fraction of
+    (delta mod 2 + sqrt(delta))/2: norm = (-1)^(period length)."""
+    from amoments import arith
+
+    if delta <= 0 or not arith.is_fundamental_discriminant(delta):
+        raise ValueError("need a positive fundamental discriminant")
+    s = math.isqrt(delta)
+    P, Q = delta % 2, 2
+    seen: dict[tuple[int, int], int] = {}
+    k = 0
+    while (P, Q) not in seen:
+        seen[(P, Q)] = k
+        m = P + s
+        a = m // Q
+        if Q < 0 and m % Q == 0:
+            a -= 1
+        P2 = a * Q - P
+        Q2 = (delta - P2 * P2) // Q
+        P, Q = P2, Q2
+        k += 1
+    period = k - seen[(P, Q)]
+    return -1 if period % 2 else 1
+
+
 def _omega_if_squarefree(n: int) -> int | None:
     """omega(n) by trial division, or None when a square divides n."""
     count = 0
@@ -431,17 +457,6 @@ def alpha_realizing(a: int, eps: tuple[int, ...]) -> int:
     while math.gcd(alpha, a) != 1:
         alpha += mod
     return alpha
-
-
-def avg_gk(m: int, k: int):
-    """Average of the k-th power of the twisted kernel size over the twist
-    classes of m (not the power of the average)."""
-    from fractions import Fraction
-
-    from amoments.redei import all_kernel_sizes
-
-    sizes = all_kernel_sizes(m)
-    return Fraction(sum(s ** k for s in sizes), len(sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,10 @@ def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["identity", "first-moment"])  # missing required --x
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        # the majorization holds for every power exactly when it holds
+        cli.main(["verify", "selmer", "--tmax", "10", "--descent-dmax", "10", "--k", "1"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_io(tmp_path):
@@ -400,7 +404,7 @@ SELMER_CHECKPOINT = (
 SELMER_CUT = (
     "config=('selmer_kernel', 'kernel', [(0, 1, -1, 1, 50)])\n"
     "chunk.0=[20, []]\n"
-    "config=('descent', 'descent', [(0, 1, -1, 1, 30, 1)])\n"
+    "config=('descent', 'descent', [(0, 1, -1, 1, 30)])\n"
 )
 
 
@@ -415,13 +419,14 @@ def test_one_chunk_phases_resume_identically_at_two_threads(tmp_path):
     assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(cut), *argv]) == 0
     assert out.read_bytes() == ref.read_bytes()
     assert cut.read_bytes() == ref_cp.read_bytes()
-    # a checkpoint of an earlier version still resumes, and keeps its headers
+    # a checkpoint of an earlier version hashed descent tasks that carried a
+    # majorization exponent, so its descent section is refused
     old = tmp_path / "old.ckpt"
     old.write_text(SELMER_CHECKPOINT)
     out = tmp_path / "old.csv"
-    assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(old), *argv]) == 0
-    assert out.read_bytes() == ref.read_bytes()
-    assert old.read_text() == SELMER_CHECKPOINT + ref_cp.read_text().splitlines(keepends=True)[-1]
+    assert cli.main(["--threads", "2", "--out", str(out), "--checkpoint", str(old), *argv]) == 2
+    assert not out.exists()
+    assert old.read_text() == SELMER_CHECKPOINT
 
 
 # prints the exit code, which of these modules the run loaded and which
@@ -501,7 +506,7 @@ MULTI_PHASE = {
         ["--chunk", "100", "verify", "redei", "--dmax", "200", "--sign", "both", "--dmax-pos", "300"], 3
     ),
     "selmer-descent": (
-        ["--chunk", "20", "verify", "selmer", "--tmax", "50", "--descent-dmax", "60", "--k", "1"], 4
+        ["--chunk", "20", "verify", "selmer", "--tmax", "50", "--descent-dmax", "60"], 4
     ),
     "charsum-two-z": (["--chunk", "300", "charsum", "--x", "20000", "--z", "10,20"], 8),
 }
@@ -562,7 +567,7 @@ def test_checkpoint_bad_line_before_the_last_is_refused(tmp_path, capsys):
 CHANGED = {
     "chunk": (["--chunk", "50", "experiment", "t12", "--x-list", "300"], 2, "--chunk", "100"),
     "dmax-pos": (*MULTI_PHASE["redei-both"], "--dmax-pos", "400"),
-    "descent-k": (*MULTI_PHASE["selmer-descent"], "--k", "2"),
+    "descent-dmax": (*MULTI_PHASE["selmer-descent"], "--descent-dmax", "80"),
 }
 
 
@@ -626,7 +631,7 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["density", "lemma210", "--pmax", str(10 ** 6 + 1), "--box", "2"],
         ["moment", "class", "--x", str(10 ** 6 + 1)],
         ["verify", "selmer", "--tmax", "3", "--descent-dmax", str(10 ** 4 + 2)],
-        ["verify", "selmer", "--tmax", "2000", "--descent-dmax", "10", "--k", "0"],
+        ["moment", "class", "--x", "100", "--k", "33"],
         ["verify", "selmer", "--tmax", "20", "--descent-dmax", "10", "--curve", "0,2,4"],
         ["verify", "selmer", "--tmax", "20", "--descent-dmax", "-1"],
         ["verify", "selmer", "--tmax", str(10 ** 6 + 1)],
@@ -664,6 +669,9 @@ POLY_PAYLOAD = '__import__("pathlib").Path({!r}).touch()'
         ["experiment", "t11", "--b-list", "0"],
         ["verify", "selmer", "--tmax", "0"],
         ["unlinked", "--setting", "class", "--k", "-1"],
+        # the largest moment exponent is 32
+        ["experiment", "t12", "--x-list", "100", "--k", "33"],
+        ["experiment", "t11", "--b-list", "10", "--k", "33"],
     ],
 )
 def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
@@ -672,6 +680,15 @@ def test_bad_experiment_input_fails_before_sweep(argv, monkeypatch, capsys):
     assert cli.main(["--threads", "1", *argv]) == 2
     assert not started
     assert "usage error" in capsys.readouterr().err
+
+
+def test_largest_moment_exponent_runs(tmp_path):
+    for argv in (
+        ["experiment", "t12", "--x-list", "100"],
+        ["experiment", "t11", "--b-list", "10"],
+        ["moment", "class", "--x", "100"],
+    ):
+        assert cli.main(["--threads", "1", "--out", str(tmp_path / "out.csv"), *argv, "--k", "32"]) == 0, argv
 
 
 @pytest.mark.parametrize(
@@ -764,6 +781,25 @@ CHARSUM_CHECKPOINT = (
     "config=('charsum', 'charsum', [(2000, 10, 11, 110, 'mu2'), (2000, 10, 111, 181, 'mu2')])\n"
     "chunk.0=-42\n"
 )
+
+
+# a moment checkpoint from before each chunk summed one exponent: its tasks
+# carried a tuple of exponents and its chunks one list of sums for each
+MOMENT_CHECKPOINT = (
+    "config=('moment', 'moment', [(1, 100, (2,), None), (101, 200, (2,), None), (201, 300, (2,), None)])\n"
+    "chunk.0=[[1, 216, 712]]\n"
+)
+
+
+def test_moment_checkpoint_of_exponent_tuples_is_refused(tmp_path, capsys):
+    cp = tmp_path / "old.ckpt"
+    cp.write_text(MOMENT_CHECKPOINT)
+    out = tmp_path / "out.csv"
+    argv = ["--threads", "1", "--chunk", "100", "--checkpoint", str(cp), "--out", str(out)]
+    assert cli.main([*argv, "moment", "class", "--x", "300", "--k", "2"]) == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert not out.exists()
+    assert cp.read_text() == MOMENT_CHECKPOINT
 
 
 def test_charsum_checkpoint_of_ordered_pairs_is_refused(tmp_path, capsys):

@@ -87,6 +87,10 @@ def test_box_count_matches_direct():
     for a in (1, 2, 3, 5, 6):
         direct = sum(1 for t in range(-B, B + 1) if P.eval((t,)) % a == 0)
         assert box_count(P, B, a) == direct
+    # letters are checked as poly_density checks them
+    for eps in ((2,), (1, 1)):
+        with pytest.raises(ValueError):
+            box_count(P, B, 5, eps)
 
 
 def test_check_lemma_2_10_linear():
@@ -113,6 +117,22 @@ def test_check_lemma_2_10_quadratic_bias_bounded():
     assert rep["max_p2_letter_bias"] == 1
     with pytest.raises(ValueError):
         check_lemma_2_10(poly_from_string("t^2"), 20, 20)
+
+
+def test_check_lemma_2_10_checks_caps_before_any_density(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a density was computed")
+
+    monkeypatch.setattr(density, "poly_density", refuse)
+    # mod p^2 for p = 1009, and for p = 37 in two variables, passes the cap;
+    # a box of side 2B + 1 = 4 * 10^6 + 1 passes its own
+    for P, pmax, B in (
+        (poly_from_string("t^2 - 2"), 1009, 10),
+        (poly_from_string("t1*t2 - 2", nvars=2), 37, 10),
+        (poly_from_string("t^2 - 2"), 100, 2 * 10 ** 6),
+    ):
+        with pytest.raises(ValueError):
+            check_lemma_2_10(P, pmax, B)
 
 
 def test_root_count_mod_p():

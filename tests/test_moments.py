@@ -291,17 +291,17 @@ def test_weighted_moment_profile_against_per_m_average():
     curve = selmer.CurveData(0, 1, 2)
     for weight, X, cv in (("2^omega", 700, None), ("tau", 300, None), ("one", 200, curve), ("kappa:1/3", 150, curve)):
         w = weight_by_name(weight)
-        tasks = moments.weighted_moment_tasks(X, (0, 1, 2, 3), cv, X // 3)
-        reps = moments.weighted_moment_reduce(X, (0, 1, 2, 3), w, cv, [moments.weighted_moment_chunk(*t) for t in tasks])
         coprime = 2 if cv is None else 2 * cv.omega
         for k in (0, 1, 2, 3):
+            tasks = moments.weighted_moment_tasks(X, k, cv, X // 3)
+            rep = moments.weighted_moment_reduce(X, k, w, cv, [moments.weighted_moment_chunk(*t) for t in tasks])
             direct = Fraction(0)
             for m in range(1, X + 1, 2):
                 if math.gcd(m, coprime) == 1 and arith.is_squarefree(m):
                     sizes = redei.all_kernel_sizes(m) if cv is None else selmer.g_r_all_eps(cv, m)
                     direct += w.of_omega(arith.omega(m)) * Fraction(sum(sizes), len(sizes)) ** k
-            assert reps[k].value == direct, (weight, k)
-            assert isinstance(reps[k].value, Fraction)
+            assert rep.value == direct, (weight, k)
+            assert isinstance(rep.value, Fraction)
 
 
 def test_theorem12_small_against_direct_tabulation():
@@ -366,9 +366,9 @@ def test_moment_report_csv():
 
 
 def test_weighted_moment_report_smoke():
-    tasks = moments.weighted_moment_tasks(500, (1,), None, 150)
+    tasks = moments.weighted_moment_tasks(500, 1, None, 150)
     parts = [moments.weighted_moment_chunk(*t) for t in tasks]
-    rep = moments.weighted_moment_reduce(500, (1,), weight_by_name("2^omega"), None, parts)[1]
+    rep = moments.weighted_moment_reduce(500, 1, weight_by_name("2^omega"), None, parts)
     assert rep.value > 0
     assert 0 < rep.normalized < 100
 
@@ -378,10 +378,10 @@ def test_weighted_moment_bounded_across_scales():
     w = weight_by_name("2^omega")
     norms = {1: [], 2: []}
     for X in (10 ** 3, 10 ** 4, 10 ** 5):
-        tasks = moments.weighted_moment_tasks(X, (1, 2), None, X // 4)
-        reps = moments.weighted_moment_reduce(X, (1, 2), w, None, [moments.weighted_moment_chunk(*t) for t in tasks])
         for k in (1, 2):
-            norms[k].append(reps[k].normalized)
+            tasks = moments.weighted_moment_tasks(X, k, None, X // 4)
+            parts = [moments.weighted_moment_chunk(*t) for t in tasks]
+            norms[k].append(moments.weighted_moment_reduce(X, k, w, None, parts).normalized)
     for k in (1, 2):
         vals = norms[k]
         assert all(0.05 < v < 20 for v in vals), vals

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import class_group_by_orders
+from oracles import class_group_by_orders, fundamental_unit_norm
 
 from amoments import arith, cli, quadforms
 from amoments.quadforms import (
@@ -10,7 +10,6 @@ from amoments.quadforms import (
     _compose,
     _reduce_neg,
     class_group,
-    fundamental_unit_norm,
     neg_torsion_sweep,
     pos_narrow_sweep,
     reduced_forms_neg,

@@ -1,9 +1,8 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
-from oracles import alpha_realizing, avg_gk, field_label, g_from_eps
+from oracles import alpha_realizing, field_label, g_from_eps
 
 from amoments import arith, redei
 from amoments.quadforms import class_group
@@ -147,21 +146,11 @@ def test_all_kernel_sizes_matches_realized_alphas(monkeypatch):
     assert calls == [3 * 5 * 7 * 11 * 13]
 
 
-def test_f_star_examples():
-    assert redei.f_star(1, 1) == 1
-    assert redei.f_star(1, 5) == 1
-    assert redei.f_star(3, 1) == Fraction(3, 2)
-    four = redei.all_kernel_sizes(15)
-    assert redei.f_star(15, 1) == Fraction(sum(four), 4)
-    assert redei.f_star(3, 2) == Fraction(9, 4)
-    assert avg_gk(3, 2) == Fraction(5, 2)
-
-
 def test_majorization_class_examples():
-    assert redei.check_majorization_class(7, 1, 1)
-    assert redei.check_majorization_class(5, -3, 1)
+    assert redei.check_majorization_class(7, 1)
+    assert redei.check_majorization_class(5, -3)
     with pytest.raises(ValueError):
-        redei.check_majorization_class(6, 3, 1)
+        redei.check_majorization_class(6, 3)
 
 
 def test_majorization_class_sweep():
@@ -172,5 +161,4 @@ def test_majorization_class_sweep():
         n = arith.squarefree_part(n)
         if m == 0 or n == 0 or math.gcd(m, n) != 1:
             continue
-        for k in (1, 2):
-            assert redei.check_majorization_class(m, n, k), (m, n, k)
+        assert redei.check_majorization_class(m, n), (m, n)
